@@ -1,21 +1,20 @@
 """Eigenvalues and eigenfunctions of a quantum particle on a torus surface.
 
 The separated poloidal equation is solved by a Fourier-coefficient
-recursion (polynomial roots for m = 0, a two-seed tail determinant for
-general m) and verified against two independent oracles: Runge-Kutta
+recursion (for m = 0 a truncated tridiagonal pencil, whose eigenvalues are
+the roots of the truncated-coefficient polynomial; for general m a two-seed
+tail determinant) and verified against two independent oracles: Runge-Kutta
 shooting and a periodic finite-difference discretization.
 """
 
 from .eigensolver import (
     BetaPolynomial,
     Eigenpair,
-    SeriesPair,
     coefficient_polynomials,
     determinant,
     determinant_scan,
     find_eigenvalues,
     roots_warm_started,
-    series_pair,
 )
 from .geometry import SpectralPoint, TorusShape, beta_to_energy, embed, metric_factor
 from .oracles import (
@@ -54,7 +53,6 @@ __all__ = [
     "ModeSpec",
     "OracleConfig",
     "RecursionRow",
-    "SeriesPair",
     "ShootingState",
     "SpectralPoint",
     "TorusShape",
@@ -78,6 +76,5 @@ __all__ = [
     "rk_mismatch",
     "rk_sample",
     "roots_warm_started",
-    "series_pair",
     "three_term_row",
 ]

@@ -94,9 +94,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _pair_record(pair: eigensolver.Eigenpair) -> dict:
     est = pair.diagnostics.convergence_estimate
-    converged = pair.trivial or (
-        pair.diagnostics.refined and est is not None and est < 1e-6
-    )
+    converged = pair.trivial or (est is not None and est < 1e-6)
     return {
         "beta": pair.beta,
         "trivial": pair.trivial,
@@ -291,8 +289,12 @@ def cmd_compare(args) -> int:
         betas["rk"] = oracles.rk_find_eigenvalue(
             args.alpha, args.m, args.parity, bracket, cfg).beta
     if "fd" in methods:
+        # the FD spectrum merges both parities, which interlace, so state L
+        # of one parity lies within the lowest 2L + 1 merged states; one
+        # spare covers a near-degenerate pair the grid orders the other way
+        k_lowest = 1 if args.state == "trivial" else 2 * args.state + 2
         spectrum = oracles.fd_spectrum(args.alpha, args.m,
-                                       grid_size=args.fd_grid, k_lowest=12)
+                                       grid_size=args.fd_grid, k_lowest=k_lowest)
         betas["fd"] = min((s.beta for s in spectrum),
                           key=lambda b: abs(b - pair.beta))
     diffs = {}
@@ -610,11 +612,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="upper end of the eigenvalue search (default 25)")
     parser.add_argument("--scan-step", type=float, default=0.02,
                         help="determinant scan step (default 0.02)")
-    parser.add_argument("--rk-steps", type=int, default=4096,
-                        help="RK4 steps per half-loop (default 4096)")
-    parser.add_argument("--fd-grid", type=int, default=1024,
-                        help="finite-difference grid size (default 1024)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -628,6 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="compute eigenvalue spectra")
     _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--m", type=_int_list, default=[0],
                    help="comma-separated azimuthal indices (default 0)")
     p.add_argument("--parity", choices=("even", "odd", "both"), default="both")
@@ -642,6 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wavefn", help="export one eigenfunction")
     _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--state", type=_state_arg, required=True,
                    help="1-based index within the parity sector, or 'trivial'")
@@ -651,6 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="cross-check a state between methods")
     _add_common(p)
+    p.add_argument("--rk-steps", type=int, default=4096,
+                   help="RK4 steps per half-loop (default 4096)")
+    p.add_argument("--fd-grid", type=int, default=1024,
+                   help="finite-difference grid size (default 1024)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--state", type=_state_arg, required=True)
     p.add_argument("--parity", choices=("even", "odd"), default="even")

@@ -2,10 +2,12 @@
 
 Two routes, matching how the truncated series can be forced to terminate:
 
-* m = 0: each parity sector has a single free seed, so the truncated
-  coefficient d_N is (up to a common denominator) a polynomial of degree
-  N - 1 in beta.  Its real nonnegative roots are the eigenvalues; roots at
-  successive orders converge fast and warm-start each other.
+* m = 0: the three-term rows are affine in beta, so the truncation d_N = 0
+  turns rows 0..N-1 into a tridiagonal pencil (A + beta B) d = 0 (Hill's
+  method).  Its eigenvalues are the roots of the last numerator polynomial
+  from ``coefficient_polynomials`` (plus the exact beta = 0 of the even
+  sector's n = 0 row); the same stencil, extended past the truncation,
+  gives each eigenfunction as a null vector.
 
 * any m: two free seeds give two independent series A and B.  A valid
   eigenfunction needs some combination with a vanishing tail, which happens
@@ -28,15 +30,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
 from .recursion import (
-    RESCALE_THRESHOLD,
     CoefficientSeries,
     ModeSpec,
     Parity,
+    _check_alpha,
+    _d_row_three,
     march_five_safe,
-    nudge_off_pole,
     reconstruct,
     residual,
 )
@@ -53,14 +54,12 @@ POLE_TOL = 1e-6
 
 __all__ = [
     "BetaPolynomial",
-    "SeriesPair",
     "Eigenpair",
     "EigenDiagnostics",
     "WarmRoot",
     "WarmStartResult",
     "coefficient_polynomials",
     "roots_warm_started",
-    "series_pair",
     "determinant",
     "determinant_scan",
     "find_eigenvalues",
@@ -135,10 +134,10 @@ def coefficient_polynomials(alpha: float, parity: Parity, order: int) -> list[Be
     else:
         q = [np.array([0.0]), np.array([1.0])]
     if order >= 2:
-        q.append(_poly.polymul(t_lag(1), q[0]) - _poly.polymul(t_center(1), q[1]))
+        q.append(np.convolve(t_lag(1), q[0]) - np.convolve(t_center(1), q[1]))
     for n in range(2, order):
-        nxt = (_poly.polymul(_poly.polymul(t_lag(n), p_lead(n - 1)), q[n - 1])
-               - _poly.polymul(t_center(n), q[n]))
+        nxt = (np.convolve(np.convolve(t_lag(n), p_lead(n - 1)), q[n - 1])
+               - np.convolve(t_center(n), q[n]))
         q.append(nxt)
     return [
         BetaPolynomial(coefficients=tuple(float(c) for c in q[n]),
@@ -276,31 +275,6 @@ def roots_warm_started(polys: Sequence[BetaPolynomial]) -> WarmStartResult:
     )
 
 
-@dataclass(frozen=True)
-class SeriesPair:
-    """Two independently seeded series sharing (alpha, mode, beta, order)."""
-
-    a: CoefficientSeries
-    b: CoefficientSeries
-    seeds: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        (a0, a1), (b0, b1) = self.seeds
-        if a0 * b1 - a1 * b0 == 0.0:
-            raise ValueError(f"seed matrix {self.seeds} is singular")
-
-
-def series_pair(alpha: float, mode: ModeSpec, beta: float, order: int,
-                seeds=DEFAULT_SEEDS) -> SeriesPair:
-    """Propagate the two five-term series used by the determinant condition."""
-    (sa, sb) = seeds
-    da, la = march_five_safe(alpha, mode.m, beta, mode.parity, order, tuple(sa))
-    db, lb = march_five_safe(alpha, mode.m, beta, mode.parity, order, tuple(sb))
-    mk = lambda d, ls: CoefficientSeries(order=order, m=mode.m, parity=mode.parity,
-                                         d=tuple(d), log_scale=ls)
-    return SeriesPair(a=mk(da, la), b=mk(db, lb), seeds=(tuple(sa), tuple(sb)))
-
-
 def _tail_matrix(alpha: float, mode: ModeSpec, beta: float, order: int, seeds):
     (sa, sb) = seeds
     da, la = march_five_safe(alpha, mode.m, beta, mode.parity, order + 1, tuple(sa))
@@ -321,6 +295,9 @@ def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
     """
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
+    (a0, a1), (b0, b1) = seeds
+    if a0 * b1 - a1 * b0 == 0.0:
+        raise ValueError(f"seed matrix {seeds} is singular")
     m, _, _ = _tail_matrix(alpha, mode, beta, order, seeds)
     na = math.hypot(m[0, 0], m[1, 0])
     nb = math.hypot(m[0, 1], m[1, 1])
@@ -350,9 +327,7 @@ class EigenDiagnostics:
     residual_rel: float
     beta_by_order: dict[int, float] = field(hash=False)
     convergence_estimate: float | None
-    refined: bool
     spurious: bool
-    degenerate_candidate: bool = False
 
 
 @dataclass(frozen=True)
@@ -426,86 +401,82 @@ def _trivial_eigenpair(alpha: float, order: int) -> Eigenpair:
     res, rel = _series_quality(series, alpha, mode, 0.0)
     diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
                             beta_by_order={order: 0.0, order + 2: 0.0},
-                            convergence_estimate=0.0, refined=True, spurious=False)
+                            convergence_estimate=0.0, spurious=False)
     return Eigenpair(beta=0.0, mode=mode, series=series, mixing=None,
                      trivial=True, diagnostics=diag)
 
 
-_BACKWARD_PAD = 8
+def _m0_stencil(alpha: float, beta: float, parity: Parity, top: int) -> np.ndarray:
+    """Three-term rows floor..top over the columns d_floor..d_{top+1}.
 
-
-def _assemble_m0_series(alpha: float, mode: ModeSpec, beta: float,
-                        order: int) -> CoefficientSeries:
-    """Eigenfunction coefficients at an m = 0 root, by backward recurrence.
-
-    Forward marching amplifies rounding noise along the dominant solution
-    (ratio ~ 2/alpha per step, catastrophic for small alpha).  Running the
-    rows downward from beyond the truncation makes the wanted minimal
-    solution the dominant one, so it is recovered stably; normalizing to
-    the low-order seed then matches the forward convention.
+    floor is 0 (even) or 1 (odd, where d_0 = 0).  The even n = 0 row folds
+    d_{-1} = d_1 into the d_1 column.
     """
-    top = order + _BACKWARD_PAD
+    floor = 0 if parity == "even" else 1
+    size = top - floor + 1
+    s = np.zeros((size, size + 1))
+    for i, n in enumerate(range(floor, top + 1)):
+        tm, t0, tp = _d_row_three(n, alpha, beta)
+        s[i, i] = t0
+        s[i, i + 1] += tp
+        if i > 0:
+            s[i, i - 1] = tm
+        elif parity == "even":
+            s[i, i + 1] += tm
+    return s
+
+
+def _m0_pencil_eigvals(alpha: float, parity: Parity, order: int) -> np.ndarray:
+    """Eigenvalues of the pencil A + beta B from rows floor..order-1, d_order = 0."""
+    a = _m0_stencil(alpha, 0.0, parity, order - 1)[:, :-1]
+    b = _m0_stencil(alpha, 1.0, parity, order - 1)[:, :-1] - a
+    return np.linalg.eigvals(np.linalg.solve(b, -a))
+
+
+def _m0_series(alpha: float, mode: ModeSpec, beta: float, order: int) -> CoefficientSeries:
+    """Eigenfunction coefficients at an m = 0 root.
+
+    Rows floor+1..order+8 with d_{order+9} = 0 and d_{order+8} = 1 form an
+    upper-triangular system whose solution is the backward recurrence: the
+    wanted minimal solution dominates downward, so it is recovered stably
+    (forward marching amplifies rounding by ~2/alpha per step).  It is
+    normalized to the low-order seed, as forward marching would be.
+    """
+    s = _m0_stencil(alpha, beta, mode.parity, order + 8)[1:, :-1]
+    d = np.append(np.linalg.solve(s[:, :-1], -s[:, -1]), 1.0)
+    head = d[0] if d[0] != 0.0 else d[np.argmax(np.abs(d))]
     floor = 0 if mode.parity == "even" else 1
-    b = beta
-    for attempt in range(4):
-        d = [0.0] * (top + 2)
-        d[top + 1] = 0.0
-        d[top] = 1.0
-        hit_pole = False
-        for n in range(top, floor, -1):
-            t_lag = b - n * (n - 1)
-            if abs(t_lag) < 1e-280:
-                hit_pole = True
-                break
-            p_lead = n * (n + 1) - b
-            t_center = 2.0 / alpha * (b - n * n)
-            d[n - 1] = (p_lead * d[n + 1] + t_center * d[n]) / t_lag
-            peak = abs(d[n - 1])
-            if peak > RESCALE_THRESHOLD:
-                for k in range(n - 1, top + 2):
-                    d[k] /= peak
-        if not hit_pole:
-            break
-        b = nudge_off_pole(beta, attempt)
-    else:
-        raise ArithmeticError(f"backward march failed near beta = {beta}")
-    head = d[floor]
-    if head == 0.0:
-        head = max(d[: order + 1], key=abs) or 1.0
-    vals = [x / head for x in d[: order + 1]]
-    if mode.parity == "odd":
-        vals[0] = 0.0
+    vals = np.concatenate((np.zeros(floor), d / head))[: order + 1]
     return CoefficientSeries(order=order, m=0, parity=mode.parity,
-                             d=tuple(vals), log_scale=0.0)
+                             d=tuple(float(x) for x in vals), log_scale=0.0)
 
 
 def _find_m0(alpha: float, mode: ModeSpec, order: int, beta_max: float,
              include_trivial: bool) -> tuple[list[Eigenpair], list[Eigenpair]]:
-    polys = coefficient_polynomials(alpha, mode.parity, order + 2)
-    warm = roots_warm_started(polys[:order])
-    poly_n2 = polys[order + 1]
+    roots = np.sort(_m0_pencil_eigvals(alpha, mode.parity, order))
+    if mode.parity == "even":
+        # the n = 0 row carries an overall factor beta: its root is the
+        # constant mode, which is added exactly
+        roots = np.delete(roots, np.argmin(np.abs(roots)))
+    roots_n2 = _m0_pencil_eigvals(alpha, mode.parity, order + 2)
+    roots_n2 = roots_n2[roots_n2.imag == 0.0].real
     accepted: list[Eigenpair] = []
     rejected: list[Eigenpair] = []
     if mode.parity == "even" and include_trivial:
         accepted.append(_trivial_eigenpair(alpha, order))
-    last = warm.roots_per_order[-1] if warm.roots_per_order else ()
-    for root in last:
-        if root.beta < 0.0 or root.beta > beta_max:
+    for root in roots:
+        beta = float(root.real)
+        if beta < 0.0 or beta > beta_max:
             continue
-        series = _assemble_m0_series(alpha, mode, root.beta, order)
-        res, rel = _series_quality(series, alpha, mode, root.beta)
-        b2, ok2, _ = _newton(poly_n2, root.beta)
-        beta_by_order = {order: root.beta}
-        estimate = None
-        if ok2:
-            beta_by_order[order + 2] = b2
-            estimate = abs(root.beta - b2) * (1.0 + 1e-9) + 1e-14
-        spurious = _is_spurious(root.beta, rel)
+        series = _m0_series(alpha, mode, beta, order)
+        res, rel = _series_quality(series, alpha, mode, beta)
+        b2 = float(roots_n2[np.argmin(np.abs(roots_n2 - beta))])
+        estimate = abs(beta - b2) * (1.0 + 1e-9) + 1e-14
+        spurious = root.imag != 0.0 or _is_spurious(beta, rel)
         diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
-                                beta_by_order=beta_by_order,
-                                convergence_estimate=estimate,
-                                refined=root.converged, spurious=spurious)
-        pair = Eigenpair(beta=root.beta, mode=mode, series=series, mixing=None,
+                                beta_by_order={order: beta, order + 2: b2},
+                                convergence_estimate=estimate, spurious=spurious)
+        pair = Eigenpair(beta=beta, mode=mode, series=series, mixing=None,
                          trivial=False, diagnostics=diag)
         (rejected if spurious else accepted).append(pair)
     return accepted, rejected
@@ -548,33 +519,12 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
         diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
                                 beta_by_order=beta_by_order,
                                 convergence_estimate=estimate,
-                                refined=True, spurious=spurious)
+                                spurious=spurious)
         pair = Eigenpair(beta=beta, mode=mode, series=series, mixing=mixing,
                          trivial=False, diagnostics=diag)
         (rejected if spurious else accepted).append(pair)
     accepted.sort(key=lambda p: p.beta)
-    return _flag_degeneracies(accepted), rejected
-
-
-def _flag_degeneracies(pairs: list[Eigenpair]) -> list[Eigenpair]:
-    out = list(pairs)
-    for i in range(len(out) - 1):
-        if abs(out[i + 1].beta - out[i].beta) < 10 * REFINE_TOL:
-            for j in (i, i + 1):
-                d = out[j].diagnostics
-                out[j] = Eigenpair(
-                    beta=out[j].beta, mode=out[j].mode, series=out[j].series,
-                    mixing=out[j].mixing, trivial=out[j].trivial,
-                    diagnostics=EigenDiagnostics(
-                        order=d.order, residual=d.residual,
-                        residual_rel=d.residual_rel,
-                        beta_by_order=d.beta_by_order,
-                        convergence_estimate=d.convergence_estimate,
-                        refined=d.refined, spurious=d.spurious,
-                        degenerate_candidate=True,
-                    ),
-                )
-    return out
+    return accepted, rejected
 
 
 def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
@@ -583,15 +533,18 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
                      return_rejected: bool = False):
     """All eigenvalues of one (m, parity) sector up to beta_max.
 
-    m = 0 goes through the single-seed polynomial route (its three-term
-    sector leaves only one free seed, so tail-vanishing reduces to a root
-    condition on one polynomial); m != 0 scans the normalized determinant
+    m = 0 solves the truncated tridiagonal pencil of its three-term rows
+    (one free seed, so tail-vanishing is a root condition on one
+    polynomial, the pencil's characteristic polynomial); m != 0 scans the normalized determinant
     and bisects each sign change to 1e-10.  Results are sorted ascending.
     The exact constant mode at beta = 0 (m = 0, even) is included flagged
     ``trivial``.  Pole artifacts and failed refinements carry flags in their
     diagnostics; flagged-spurious candidates are dropped from the primary
     list (pass return_rejected=True to inspect them).
     """
+    _check_alpha(alpha)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     if beta_max <= 0:
         raise ValueError(f"beta_max must be positive, got {beta_max}")
     if scan_step <= 0:
@@ -599,7 +552,6 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
     if mode.m == 0:
         accepted, rejected = _find_m0(alpha, mode, order, beta_max, include_trivial)
         accepted.sort(key=lambda p: p.beta)
-        accepted = _flag_degeneracies(accepted)
     else:
         accepted, rejected = determinant_scan(alpha, mode, order, beta_max, scan_step)
     if return_rejected:

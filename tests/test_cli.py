@@ -156,6 +156,16 @@ class TestCompareCommand:
         assert payload["pairwise"]["fd-fourier"]["abs_diff"] < 1e-4
         assert payload["eigenfunction"]["pass"] is True
 
+    def test_fd_matches_high_state_of_one_parity(self, tmp_path):
+        # state 8 of the even sector lies past the 12 lowest merged FD states
+        code, text = run_cli(tmp_path, "compare", "--m", "0", "--state", "8",
+                             "--methods", "fourier,fd", "--beta-max", "80",
+                             "--order", "20")
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["beta"]["fourier"] == pytest.approx(64.0389, abs=1e-4)
+        assert payload["pairwise"]["fd-fourier"]["pass"] is True
+
 
 class TestEmbedCommand:
     def test_mesh_lies_on_torus(self, tmp_path):
@@ -205,5 +215,19 @@ class TestParserHelp:
         assert args.alpha == 0.5
         assert args.order == 10
         assert args.scan_step == 0.02
+        args = build_parser().parse_args(["compare", "--m", "0", "--state", "1"])
         assert args.rk_steps == 4096
         assert args.fd_grid == 1024
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("spectrum", "--rk-steps", "7"), ("spectrum", "--fd-grid", "66"),
+        ("wavefn", "--rk-steps", "7"), ("wavefn", "--fd-grid", "66"),
+        ("compare", "--format", "csv"),
+    ])
+    def test_unread_options_are_usage_errors(self, command, option, value):
+        argv = [command, option, value]
+        if command != "spectrum":
+            argv += ["--m", "0", "--state", "1"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2

@@ -10,7 +10,6 @@ from toruseig.eigensolver import (
     determinant_scan,
     find_eigenvalues,
     roots_warm_started,
-    series_pair,
 )
 from toruseig.oracles import fd_spectrum
 from toruseig.recursion import ModeSpec, march_three_safe
@@ -156,7 +155,7 @@ class TestDeterminant:
 
     def test_singular_seeds_rejected(self):
         with pytest.raises(ValueError):
-            series_pair(ALPHA, ModeSpec(1, "even"), 1.0, 8,
+            determinant(ALPHA, ModeSpec(1, "even"), 1.0, 8,
                         seeds=((1.0, 1.0), (2.0, 2.0)))
 
 
@@ -271,3 +270,36 @@ class TestFindEigenvalues:
             b12 = p.diagnostics.beta_by_order.get(12)
             assert est is not None and b12 is not None
             assert abs(p.beta - b12) <= est
+
+
+PENCIL_ALPHAS = (0.1, 0.5, 0.9)
+PENCIL_ORDERS = (10, 20, 40)
+
+
+class TestM0Pencil:
+    # the pencil's eigenvalues are the roots of the order-N numerator
+    # polynomial, which the warm-started route tracks independently; it is
+    # compared below beta = 25 because above ~36 the polynomial's roots
+    # lose digits at N >= 20
+
+    @pytest.mark.parametrize("alpha", PENCIL_ALPHAS)
+    @pytest.mark.parametrize("order", PENCIL_ORDERS)
+    @pytest.mark.parametrize("parity", ("even", "odd"))
+    def test_matches_polynomial_roots(self, alpha, order, parity):
+        pairs = find_eigenvalues(alpha, ModeSpec(0, parity), order=order,
+                                 beta_max=25.0)
+        betas = [p.beta for p in pairs if not p.trivial]
+        polys = coefficient_polynomials(alpha, parity, order)
+        roots = [b for b in roots_warm_started(polys).final_roots(converged_only=False)
+                 if b <= 25.0]
+        assert len(betas) == len(roots)
+        assert betas == pytest.approx(roots, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", PENCIL_ALPHAS)
+    @pytest.mark.parametrize("parity", ("even", "odd"))
+    def test_eigenfunctions_resolved_at_order_40(self, alpha, parity):
+        pairs, rejected = find_eigenvalues(alpha, ModeSpec(0, parity), order=40,
+                                           beta_max=25.0, return_rejected=True)
+        assert pairs and not rejected
+        for p in pairs:
+            assert p.diagnostics.residual_rel <= 1e-5
