@@ -269,6 +269,18 @@ FD_TOL = 1e-4
 EIGENFUNCTION_TOL = 1e-3
 
 
+def _rk_bracket(states, index: int) -> tuple[float, float]:
+    """Shooting bracket: +/-0.15 around a state, cut half-way to its
+    neighbours in the sector and at beta = 0."""
+    beta = states[index].beta
+    lo, hi = max(0.0, beta - 0.15), beta + 0.15
+    if index > 0:
+        lo = max(lo, 0.5 * (states[index - 1].beta + beta))
+    if index + 1 < len(states):
+        hi = min(hi, 0.5 * (beta + states[index + 1].beta))
+    return lo, hi
+
+
 def cmd_compare(args) -> int:
     methods = args.methods
     if len(methods) < 2:
@@ -283,20 +295,16 @@ def cmd_compare(args) -> int:
     betas: dict[str, float] = {}
     if "fourier" in methods:
         betas["fourier"] = pair.beta
+    # position of the state in its sector, counting the trivial state
+    index = next(i for i, p in enumerate(states) if p is pair)
     if "rk" in methods:
         cfg = oracles.OracleConfig(rk_step_count=args.rk_steps)
-        bracket = (max(1e-6, pair.beta - 0.15), pair.beta + 0.15)
         betas["rk"] = oracles.rk_find_eigenvalue(
-            args.alpha, args.m, args.parity, bracket, cfg).beta
+            args.alpha, args.m, args.parity, _rk_bracket(states, index), cfg).beta
     if "fd" in methods:
-        # the FD spectrum merges both parities, which interlace, so state L
-        # of one parity lies within the lowest 2L + 1 merged states; one
-        # spare covers a near-degenerate pair the grid orders the other way
-        k_lowest = 1 if args.state == "trivial" else 2 * args.state + 2
-        spectrum = oracles.fd_spectrum(args.alpha, args.m,
-                                       grid_size=args.fd_grid, k_lowest=k_lowest)
-        betas["fd"] = min((s.beta for s in spectrum),
-                          key=lambda b: abs(b - pair.beta))
+        spectrum = oracles.fd_spectrum(args.alpha, args.m, grid_size=args.fd_grid,
+                                       k_lowest=index + 1, parity=args.parity)
+        betas["fd"] = spectrum[index].beta
     diffs = {}
     ok = True
     names = sorted(betas)

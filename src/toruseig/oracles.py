@@ -9,22 +9,36 @@ Two methods that share no machinery with the Fourier recursion:
   backward to -3pi/2 reaches the other fixed point from both sides; an
   eigenvalue makes psi' (even) or psi (odd) vanish there on both paths.
 
+  The equation is linear, y' = A(theta) y with y = (psi, psi') and
+  A = [[0, 1], [q - beta, -p]], p = alpha cos / w, q = m^2 alpha^2 / w^2,
+  so one RK4 step is exactly y <- M_k y for a 2x2 step matrix M_k.  A path
+  builds all of its step matrices at once as numpy arrays (the beta-free
+  p and q at the step nodes are cached per path) and multiplies them in a
+  pairwise tree.  An eigenvalue is found by Illinois regula falsi on the
+  forward defect, bisecting whenever the secant point leaves the bracket;
+  the forward/backward consistency check runs once, at the root.
+
 * A flux-form central finite difference of the self-adjoint form
 
       -d/dtheta[(1 + alpha sin) psi'] + m^2 alpha^2/(1 + alpha sin) psi
           = beta (1 + alpha sin) psi
 
-  on a uniform periodic grid.  A diagonal similarity by the square root of
-  the weight makes the discrete operator exactly symmetric, so eigenvalues
-  are guaranteed real; each run is paired with a half-resolution run and
-  Richardson-extrapolated, which removes the leading h^2 error.
+  on a uniform periodic grid.  The operator commutes with the reflection
+  theta -> pi - theta, which maps an even grid onto itself, so the periodic
+  matrix splits into an even and an odd sector, each a symmetric
+  tridiagonal matrix on the half loop pi/2..3pi/2 (a diagonal similarity by
+  the square root of the weight makes it symmetric, so eigenvalues are
+  guaranteed real).  Each run is paired with a half-resolution run and
+  Richardson-extrapolated, which removes the leading h^2 error; the odd
+  half of an n % 4 == 2 grid has no mirror symmetry and is solved whole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import cos, pi, sin
+from functools import lru_cache
+from math import pi
 from typing import Sequence
 
 import numpy as np
@@ -80,41 +94,67 @@ class ShootingState:
     dpsi: float
 
 
+@lru_cache(maxsize=8)
+def _path_coefficients(alpha: float, m: int, theta0: float, theta_end: float,
+                       steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """p and q at the 2 steps + 1 RK4 nodes theta0 + j h/2 (read-only)."""
+    t = theta0 + (0.5 * (theta_end - theta0) / steps) * np.arange(2 * steps + 1)
+    w = 1.0 + alpha * np.sin(t)
+    p = alpha * np.cos(t) / w
+    q = (m * m * alpha * alpha) / (w * w)
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return p, q
+
+
+def _a_times(c, d, x):
+    """A @ X for A = [[0, 1], [c, d]]; matrices are (x00, x01, x10, x11)."""
+    return x[2], x[3], c * x[0] + d * x[2], c * x[1] + d * x[3]
+
+
+def _eye_plus(s, k):
+    """I + s K."""
+    return 1.0 + s * k[0], s * k[1], s * k[2], 1.0 + s * k[3]
+
+
+def _matmul(x, y):
+    """X @ Y, elementwise over stacks."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
 def _integrate(alpha: float, m: int, beta: float, state: ShootingState,
                theta_end: float, steps: int) -> ShootingState:
-    """Fixed-step RK4 from state.theta to theta_end."""
-    t = state.theta
-    y0, y1 = state.psi, state.dpsi
-    h = (theta_end - t) / steps
-    ma2 = m * m * alpha * alpha
-    for _ in range(steps):
-        w = 1.0 + alpha * sin(t)
-        k1a = y1
-        k1b = -alpha * cos(t) / w * y1 + (ma2 / (w * w) - beta) * y0
-        tm = t + 0.5 * h
-        w = 1.0 + alpha * sin(tm)
-        u0 = y0 + 0.5 * h * k1a
-        u1 = y1 + 0.5 * h * k1b
-        k2a = u1
-        k2b = -alpha * cos(tm) / w * u1 + (ma2 / (w * w) - beta) * u0
-        u0 = y0 + 0.5 * h * k2a
-        u1 = y1 + 0.5 * h * k2b
-        k3a = u1
-        k3b = -alpha * cos(tm) / w * u1 + (ma2 / (w * w) - beta) * u0
-        te = t + h
-        w = 1.0 + alpha * sin(te)
-        u0 = y0 + h * k3a
-        u1 = y1 + h * k3b
-        k4a = u1
-        k4b = -alpha * cos(te) / w * u1 + (ma2 / (w * w) - beta) * u0
-        y0 += h * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
-        y1 += h * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
-        t = te
-    if not (math.isfinite(y0) and math.isfinite(y1)):
+    """Fixed-step RK4 from state.theta to theta_end, as one matrix product."""
+    h = (theta_end - state.theta) / steps
+    p, q = _path_coefficients(alpha, m, state.theta, theta_end, steps)
+    c, d = q - beta, -p
+    ca, da = c[:-1:2], d[:-1:2]      # step start
+    cb, db = c[1::2], d[1::2]        # midpoint
+    cc, dc = c[2::2], d[2::2]        # step end
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = (0.0, 1.0, ca, da)
+        k2 = _a_times(cb, db, _eye_plus(0.5 * h, k1))
+        k3 = _a_times(cb, db, _eye_plus(0.5 * h, k2))
+        k4 = _a_times(cc, dc, _eye_plus(h, k3))
+        step = _eye_plus(h / 6.0, tuple(a + 2.0 * (b + e) + f
+                                        for a, b, e, f in zip(k1, k2, k3, k4)))
+        # pairwise tree: each level multiplies every later matrix onto its
+        # predecessor; an odd one out waits, still last, for the next level
+        while len(step[0]) > 1:
+            odd = len(step[0]) % 2
+            pair = _matmul(tuple(x[1::2] for x in step),
+                           tuple(x[:len(x) - odd:2] for x in step))
+            step = pair if not odd else tuple(
+                np.append(a, x[-1]) for a, x in zip(pair, step))
+        mat = [float(x[0]) for x in step]
+        psi = mat[0] * state.psi + mat[1] * state.dpsi
+        dpsi = mat[2] * state.psi + mat[3] * state.dpsi
+    if not (math.isfinite(psi) and math.isfinite(dpsi)):
         raise OracleError(
-            f"integration diverged at beta={beta}, steps={steps}, theta={t}"
+            f"integration diverged at beta={beta}, steps={steps}, theta={theta_end}"
         )
-    return ShootingState(theta=t, psi=y0, dpsi=y1)
+    return ShootingState(theta=theta_end, psi=psi, dpsi=dpsi)
 
 
 def _launch(parity: Parity) -> ShootingState:
@@ -153,30 +193,57 @@ def rk_mismatch(alpha: float, m: int, beta: float, parity: Parity,
 def rk_find_eigenvalue(alpha: float, m: int, parity: Parity,
                        bracket: tuple[float, float],
                        config: OracleConfig = OracleConfig()) -> SpectralPoint:
-    """Bisect the mismatch to an eigenvalue within the bracket."""
+    """Root of the mismatch within the bracket.
+
+    Illinois regula falsi on the forward defect, with a bisection step
+    whenever the secant point leaves the open bracket, until the bracket is
+    narrower than ``matching_tolerance``; ``rk_mismatch`` then checks the
+    forward and backward paths against each other at the root.
+    """
+    _check_parity(parity)
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bad bracket {bracket}")
-    flo = rk_mismatch(alpha, m, lo, parity, config)
-    fhi = rk_mismatch(alpha, m, hi, parity, config)
-    if flo == 0.0:
-        return SpectralPoint(beta=lo)
-    if fhi == 0.0:
-        return SpectralPoint(beta=hi)
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+
+    def defect(beta: float) -> float:
+        end = _integrate(alpha, m, beta, _launch(parity), pi / 2, config.rk_step_count)
+        return end.dpsi if parity == "even" else end.psi
+
+    flo, fhi = defect(lo), defect(hi)
+    if flo == 0.0 or fhi == 0.0:
+        beta = lo if flo == 0.0 else hi
+    elif math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise BracketError(
             f"mismatch does not change sign on {bracket} (m={m}, {parity})"
         )
-    while hi - lo > config.matching_tolerance:
-        mid = 0.5 * (lo + hi)
-        fm = rk_mismatch(alpha, m, mid, parity, config)
-        if fm == 0.0:
-            return SpectralPoint(beta=mid)
-        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo, flo = mid, fm
+    else:
+        beta = _illinois(defect, lo, hi, flo, fhi, config.matching_tolerance)
+    rk_mismatch(alpha, m, beta, parity, config)
+    return SpectralPoint(beta=beta)
+
+
+def _illinois(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
+    """Regula falsi on a sign-changing bracket, Illinois variant: an end
+    kept twice in a row has its value halved, so both ends close in."""
+    kept = 0    # +1 after lo moved, -1 after hi moved
+    while hi - lo > tol:
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if math.copysign(1.0, fx) == math.copysign(1.0, flo):
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
         else:
-            hi = mid
-    return SpectralPoint(beta=0.5 * (lo + hi))
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+    return 0.5 * (lo + hi)
 
 
 def rk_sample(alpha: float, m: int, beta: float, parity: Parity,
@@ -184,61 +251,132 @@ def rk_sample(alpha: float, m: int, beta: float, parity: Parity,
               config: OracleConfig = OracleConfig()) -> list[tuple[float, float]]:
     """Trajectory values psi(theta), normalized by the launch condition.
 
-    Points left of -pi/2 ride the backward branch; step counts scale with
-    arc length so resolution matches the configured per-half-loop density.
+    Points left of -pi/2 ride the backward branch.  Each branch visits its
+    targets in one sweep outward from the launch, with step counts scaled
+    to the length of each leg so resolution matches the configured
+    per-half-loop density.
     """
-    out = []
-    for theta in thetas:
-        span = abs(theta - (-pi / 2))
-        if span == 0.0:
-            state = _launch(parity)
-        else:
-            steps = max(2, int(round(config.rk_step_count * span / pi)))
-            state = _integrate(alpha, m, beta, _launch(parity), theta, steps)
-        out.append((float(theta), state.psi))
-    return out
+    launch = _launch(parity)
+    values = [launch.psi] * len(thetas)
+    for outward in (1.0, -1.0):
+        state = launch
+        targets = [i for i, t in enumerate(thetas) if outward * (t - launch.theta) > 0]
+        for i in sorted(targets, key=lambda i: outward * thetas[i]):
+            span = abs(thetas[i] - state.theta)
+            if span > 0.0:
+                steps = max(2, int(round(config.rk_step_count * span / pi)))
+                state = _integrate(alpha, m, beta, state, thetas[i], steps)
+            values[i] = state.psi
+    return [(float(t), v) for t, v in zip(thetas, values)]
 
 
 def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
-                k_lowest: int = 8) -> list[SpectralPoint]:
+                k_lowest: int = 8, parity: Parity | None = None) -> list[SpectralPoint]:
     """Lowest eigenvalues from the periodic flux-form discretization.
 
     Runs the grid and its half, Richardson-extrapolates the pair (the
     discretization is second order, so the combination cancels the leading
     error term), and reports the correction magnitude as the per-eigenvalue
-    error estimate.
+    error estimate.  With ``parity`` the result is that mirror sector only;
+    without, both sectors merged in ascending order.
     """
     cfg = OracleConfig(fd_grid_size=grid_size)  # reuse the range validation
-    full = _fd_raw(alpha, m, cfg.fd_grid_size, k_lowest)
-    half = _fd_raw(alpha, m, cfg.fd_grid_size // 2, k_lowest)
+    n = cfg.fd_grid_size
+    if not 1 <= k_lowest <= n // 2:
+        raise ValueError(f"k_lowest must be in [1, {n // 2}], got {k_lowest}")
+    if parity is not None:
+        _check_parity(parity)
+    if parity is not None and (n // 2) % 2 == 0:
+        pairs = list(zip(_fd_raw(alpha, m, n, parity), _fd_raw(alpha, m, n // 2, parity)))
+    else:
+        # merged spectra pair by position; an odd half grid has no mirror
+        # symmetry, so its values take the parity of their full-grid partner
+        full = sorted((float(b), p) for p in ("even", "odd")
+                      for b in _fd_raw(alpha, m, n, p))
+        if (n // 2) % 2:
+            half = _fd_periodic(alpha, m, n // 2)
+        else:
+            half = np.sort(np.concatenate([_fd_raw(alpha, m, n // 2, p)
+                                           for p in ("even", "odd")]))
+        pairs = [(bf, bh) for (bf, p), bh in zip(full, half) if parity in (None, p)]
+    if len(pairs) < k_lowest:
+        raise ValueError(
+            f"k_lowest={k_lowest} exceeds the {len(pairs)} {parity} states "
+            f"of the half grid {n // 2}"
+        )
     out = []
-    for bf, bh in zip(full, half):
+    for bf, bh in pairs[:k_lowest]:
         corr = float(bf - bh) / 3.0
         out.append(SpectralPoint(beta=max(0.0, float(bf) + corr),
                                  error_estimate=abs(corr)))
     return out
 
 
-def _fd_raw(alpha: float, m: int, n: int, k_lowest: int) -> np.ndarray:
-    if k_lowest < 1 or k_lowest > n:
-        raise ValueError(f"k_lowest must be in [1, {n}], got {k_lowest}")
+def _fd_raw(alpha: float, m: int, n: int, parity: Parity) -> np.ndarray:
+    """Ascending eigenvalues of one mirror sector of the even grid of n points.
+
+    The sector lives on the grid nodes of the half loop pi/2..3pi/2.  When
+    n % 4 == 0 both fixed points are nodes: the even sector keeps them with
+    half their mass and diagonal, the odd sector (which vanishes there)
+    drops them.  When n % 4 == 2 the fixed points lie half a step outside
+    the end nodes, whose mirror neighbour is the end node itself, so its
+    coupling returns to the diagonal with the sector's sign.
+    """
     h = 2.0 * pi / n
-    theta = np.arange(n) * h
+    quarter, rem = divmod(n, 4)
+    first = quarter if rem == 0 else quarter + 1
+    theta = np.arange(first, first + n // 2 + 1 - rem // 2) * h
+    diag, off, mass, wm = _fd_rows(alpha, m, theta, h)
+    if rem == 0 and parity == "even":
+        diag[[0, -1]] *= 0.5
+        mass[[0, -1]] *= 0.5
+    elif rem == 0:
+        diag, off, mass = diag[1:-1], off[1:-1], mass[1:-1]
+    else:
+        sign = 1.0 if parity == "even" else -1.0
+        diag[0] -= sign * wm[0] / h**2
+        diag[-1] += sign * off[-1]
+    s = 1.0 / np.sqrt(mass)
+    return _eigvalsh(_lower_tridiagonal(diag * s * s, off[:-1] * s[:-1] * s[1:]), n, m)
+
+
+def _fd_periodic(alpha: float, m: int, n: int) -> np.ndarray:
+    """Ascending eigenvalues of the whole periodic grid of odd n points.
+
+    An odd grid is not carried onto itself by theta -> pi - theta, so it has
+    no mirror sectors; it only arises as the half of an n % 4 == 2 grid.
+    """
+    h = 2.0 * pi / n
+    diag, off, w, _ = _fd_rows(alpha, m, np.arange(n) * h, h)
+    s = 1.0 / np.sqrt(w)
+    sym = _lower_tridiagonal(diag * s * s, off[:-1] * s[:-1] * s[1:])
+    sym[-1, 0] = off[-1] * s[-1] * s[0]     # the wrap-around coupling
+    return _eigvalsh(sym, n, m)
+
+
+def _fd_rows(alpha: float, m: int, theta: np.ndarray, h: float):
+    """Diagonal, coupling to the next node, weight and left-face weight."""
     w = 1.0 + alpha * np.sin(theta)
     wp = 1.0 + alpha * np.sin(theta + h / 2)   # weight at j+1/2 faces
     wm = 1.0 + alpha * np.sin(theta - h / 2)
-    a = np.zeros((n, n))
-    idx = np.arange(n)
-    a[idx, idx] = (wp + wm) / h**2 + m * m * alpha * alpha / w
-    a[idx, (idx + 1) % n] = -wp / h**2
-    a[idx, (idx - 1) % n] = -wm / h**2
-    s = 1.0 / np.sqrt(w)
-    sym = (a * s).T * s
-    sym = 0.5 * (sym + sym.T)
+    diag = (wp + wm) / h**2 + m * m * alpha * alpha / w
+    return diag, -wp / h**2, w, wm
+
+
+def _lower_tridiagonal(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Dense matrix holding diag and the subdiagonal sub, upper triangle zero."""
+    k = len(diag)
+    sym = np.zeros((k, k))
+    sym.flat[::k + 1] = diag
+    sym.flat[k::k + 1] = sub
+    return sym
+
+
+def _eigvalsh(sym: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Eigenvalues of the symmetric matrix held in the lower triangle of sym."""
     try:
-        evals = np.linalg.eigvalsh(sym)
+        return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise OracleError(
-            f"dense eigensolve failed to converge (grid={n}, m={m}): {exc}"
+            f"eigensolve failed to converge (grid={n}, m={m}): {exc}"
         ) from exc
-    return evals[:k_lowest]

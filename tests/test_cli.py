@@ -10,6 +10,7 @@ from toruseig.cli import (
     parse_eigenfunction,
     parse_spectrum,
 )
+from toruseig.oracles import fd_spectrum
 
 
 def run_cli(tmp_path, *argv):
@@ -165,6 +166,25 @@ class TestCompareCommand:
         payload = json.loads(text)
         assert payload["beta"]["fourier"] == pytest.approx(64.0389, abs=1e-4)
         assert payload["pairwise"]["fd-fourier"]["pass"] is True
+
+
+    def test_trivial_state_shooting_bracket(self, tmp_path):
+        # the shooting bracket starts at beta = 0, where the m = 0 even
+        # mismatch vanishes exactly
+        code, text = run_cli(tmp_path, "compare", "--m", "0", "--state", "trivial",
+                             "--methods", "fourier,rk")
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["beta"]["rk"] == 0.0
+        assert payload["pass"] is True
+
+    def test_fd_takes_same_parity_and_state(self, tmp_path):
+        code, text = run_cli(tmp_path, "compare", "--m", "1", "--parity", "odd",
+                             "--state", "2", "--methods", "fourier,fd",
+                             "--fd-grid", "256")
+        assert code == 0
+        fd = fd_spectrum(0.5, 1, grid_size=256, k_lowest=2, parity="odd")
+        assert json.loads(text)["beta"]["fd"] == fd[1].beta
 
 
 class TestEmbedCommand:

@@ -1,11 +1,15 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from toruseig import oracles
 from toruseig.oracles import (
     BracketError,
     OracleConfig,
     OracleError,
+    ShootingState,
     fd_spectrum,
     rk_find_eigenvalue,
     rk_mismatch,
@@ -110,10 +114,80 @@ class TestRkSample:
                 assert vl == pytest.approx(sign * vr, abs=1e-5 * peak)
 
     def test_divergence_reports_context(self):
-        with pytest.raises(OracleError):
-            # a huge negative-beta-like configuration cannot arise through
-            # the public API; force divergence with an absurd eigenvalue
-            rk_mismatch(ALPHA, 0, 1e8, "even", OracleConfig(rk_step_count=128))
+        # a huge negative-beta-like configuration cannot arise through the
+        # public API; force divergence with an absurd eigenvalue.  The
+        # overflow on the way must not leak out as a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OracleError, match=r"beta=100000000\.0, steps=128, theta="):
+                rk_mismatch(ALPHA, 0, 1e8, "even", OracleConfig(rk_step_count=128))
+
+    def test_sweep_matches_integration_from_launch(self):
+        # one sweep per branch, in any input order, against an independent
+        # integration from -pi/2 to each point at the same step density
+        thetas = [2.0, -2.5, 0.3, -math.pi / 2, 4.0, -4.5, 0.3, -1.0]
+        samples = rk_sample(ALPHA, 1, 1.663, "even", thetas, FAST)
+        assert [t for t, _ in samples] == thetas
+        launch = ShootingState(theta=-math.pi / 2, psi=1.0, dpsi=0.0)
+        for theta, value in samples:
+            steps = max(2, round(1024 * abs(theta + math.pi / 2) / math.pi))
+            ref = (launch.psi if theta == -math.pi / 2 else
+                   oracles._integrate(ALPHA, 1, 1.663, launch, theta, steps).psi)
+            assert value == pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+
+def _scalar_rk4(alpha, m, beta, state, theta_end, steps):
+    """Classical RK4 at the nodes theta0 + k h, one step at a time."""
+    def slope(t, u0, u1):
+        w = 1.0 + alpha * math.sin(t)
+        return u1, -alpha * math.cos(t) / w * u1 + (m * m * alpha * alpha / (w * w) - beta) * u0
+
+    t0, y0, y1 = state.theta, state.psi, state.dpsi
+    h = (theta_end - t0) / steps
+    for k in range(steps):
+        t = t0 + k * h
+        k1 = slope(t, y0, y1)
+        k2 = slope(t + h / 2, y0 + h / 2 * k1[0], y1 + h / 2 * k1[1])
+        k3 = slope(t + h / 2, y0 + h / 2 * k2[0], y1 + h / 2 * k2[1])
+        k4 = slope(t + h, y0 + h * k3[0], y1 + h * k3[1])
+        y0 += h * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]) / 6.0
+        y1 += h * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]) / 6.0
+    return y0, y1
+
+
+class TestStepMatrixKernel:
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("alpha", [0.1, 0.9])
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_matches_scalar_loop(self, parity, alpha, m):
+        launch = oracles._launch(parity)
+        for beta, theta_end, steps in ((1.3, math.pi / 2, 1024),
+                                       (7.7, -3 * math.pi / 2, 1000),
+                                       (0.4, 2.0, 333)):
+            psi, dpsi = _scalar_rk4(alpha, m, beta, launch, theta_end, steps)
+            end = oracles._integrate(alpha, m, beta, launch, theta_end, steps)
+            scale = max(abs(psi), abs(dpsi))
+            assert abs(end.psi - psi) <= 1e-12 * scale
+            assert abs(end.dpsi - dpsi) <= 1e-12 * scale
+            assert end.theta == theta_end
+
+    def test_root_search_integration_budget(self, monkeypatch):
+        # at most 16 half-loop integrations per root, the final forward /
+        # backward check included
+        calls = []
+        inner = oracles._integrate
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(oracles, "_integrate", counting)
+        for m, parity, bracket in ((0, "even", (1.0, 1.3)), (0, "odd", (0.9, 1.05)),
+                                   (1, "even", (0.1, 0.4)), (5, "even", (15.0, 15.3))):
+            calls.clear()
+            beta = rk_find_eigenvalue(ALPHA, m, parity, bracket).beta
+            assert bracket[0] < beta < bracket[1]
+            assert 3 <= len(calls) <= 16
 
 
 class TestFdSpectrum:
@@ -149,3 +223,58 @@ class TestFdSpectrum:
                 fd_spectrum(ALPHA, 0, grid_size=bad)
         with pytest.raises(ValueError):
             fd_spectrum(ALPHA, 0, grid_size=256, k_lowest=0)
+
+
+def _dense_periodic(alpha, m, n):
+    """Lowest-first spectrum of the whole periodic n x n matrix."""
+    h = 2.0 * math.pi / n
+    theta = np.arange(n) * h
+    w = 1.0 + alpha * np.sin(theta)
+    wp = 1.0 + alpha * np.sin(theta + h / 2)
+    wm = 1.0 + alpha * np.sin(theta - h / 2)
+    a = np.zeros((n, n))
+    idx = np.arange(n)
+    a[idx, idx] = (wp + wm) / h**2 + m * m * alpha * alpha / w
+    a[idx, (idx + 1) % n] = -wp / h**2
+    a[idx, (idx - 1) % n] = -wm / h**2
+    s = 1.0 / np.sqrt(w)
+    sym = (a * s).T * s
+    return np.linalg.eigvalsh(0.5 * (sym + sym.T))
+
+
+class TestFdParitySectors:
+    @pytest.mark.parametrize("n", [64, 130, 1024])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_sectors_partition_dense_spectrum(self, n, alpha, m):
+        sectors = [oracles._fd_raw(alpha, m, n, p) for p in ("even", "odd")]
+        assert sum(len(s) for s in sectors) == n
+        merged = np.sort(np.concatenate(sectors))
+        dense = _dense_periodic(alpha, m, n)
+        assert np.max(np.abs(merged - dense)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [64, 130, 1024])
+    def test_merged_spectrum_matches_dense_richardson(self, n):
+        # n = 130 pairs with the odd, mirror-free half grid 65
+        for alpha, m in ((0.3, 0), (0.5, 1), (0.9, 3)):
+            full, half = _dense_periodic(alpha, m, n), _dense_periodic(alpha, m, n // 2)
+            ref = [max(0.0, f + (f - h) / 3.0) for f, h in zip(full[:12], half[:12])]
+            got = [p.beta for p in fd_spectrum(alpha, m, grid_size=n, k_lowest=12)]
+            assert got == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [256, 258])
+    def test_parity_labels_match_fourier(self, n):
+        # m = 0 at alpha = 0.5: even 0, 1.122286, ...; odd 0.976731, ...
+        even = [p.beta for p in fd_spectrum(ALPHA, 0, grid_size=n, k_lowest=3, parity="even")]
+        odd = [p.beta for p in fd_spectrum(ALPHA, 0, grid_size=n, k_lowest=2, parity="odd")]
+        assert even[0] == pytest.approx(0.0, abs=1e-9)
+        assert even[1] == pytest.approx(1.122286, abs=1e-3)
+        assert odd[0] == pytest.approx(0.976731, abs=1e-3)
+        merged = [p.beta for p in fd_spectrum(ALPHA, 0, grid_size=n, k_lowest=5)]
+        assert sorted(even + odd) == pytest.approx(merged, abs=1e-12)
+
+    def test_parity_beyond_sector_is_rejected(self):
+        with pytest.raises(ValueError):
+            fd_spectrum(ALPHA, 0, grid_size=64, k_lowest=32, parity="odd")
+        with pytest.raises(ValueError):
+            fd_spectrum(ALPHA, 0, grid_size=64, k_lowest=2, parity="up")
