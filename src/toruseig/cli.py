@@ -168,14 +168,6 @@ def _parities(choice: str) -> list[str]:
 # state selection shared by wavefn / compare / repro
 # ---------------------------------------------------------------------------
 
-def _sector_states(alpha: float, m: int, parity: str, order: int,
-                   beta_max: float, scan_step: float) -> list[eigensolver.Eigenpair]:
-    return eigensolver.find_eigenvalues(
-        alpha, ModeSpec(m, parity), order=order, beta_max=beta_max,
-        scan_step=scan_step,
-    )
-
-
 def _select_state(states, lam):
     """lam is a 1-based index among non-trivial states, or 'trivial'."""
     if lam == "trivial":
@@ -224,8 +216,9 @@ def parse_eigenfunction(text: str, fmt: str) -> dict:
 
 def cmd_wavefn(args) -> int:
     lam = args.state
-    states = _sector_states(args.alpha, args.m, args.parity, args.order,
-                            args.beta_max, args.scan_step)
+    states = eigensolver.find_eigenvalues(
+        args.alpha, ModeSpec(args.m, args.parity), order=args.order,
+        beta_max=args.beta_max, scan_step=args.scan_step)
     pair = _select_state(states, lam)
     if pair is None:
         available = ", ".join(
@@ -286,8 +279,9 @@ def cmd_compare(args) -> int:
     if len(methods) < 2:
         sys.stderr.write("error: compare needs at least two of fourier, rk, fd\n")
         return 2
-    states = _sector_states(args.alpha, args.m, args.parity, args.order,
-                            args.beta_max, args.scan_step)
+    states = eigensolver.find_eigenvalues(
+        args.alpha, ModeSpec(args.m, args.parity), order=args.order,
+        beta_max=args.beta_max, scan_step=args.scan_step)
     pair = _select_state(states, args.state)
     if pair is None:
         sys.stderr.write(f"error: no state {args.state} for m={args.m}\n")
@@ -297,8 +291,8 @@ def cmd_compare(args) -> int:
         betas["fourier"] = pair.beta
     # position of the state in its sector, counting the trivial state
     index = next(i for i, p in enumerate(states) if p is pair)
+    cfg = oracles.OracleConfig(rk_step_count=args.rk_steps)
     if "rk" in methods:
-        cfg = oracles.OracleConfig(rk_step_count=args.rk_steps)
         betas["rk"] = oracles.rk_find_eigenvalue(
             args.alpha, args.m, args.parity, _rk_bracket(states, index), cfg).beta
     if "fd" in methods:
@@ -319,7 +313,6 @@ def cmd_compare(args) -> int:
     if "fourier" in methods and "rk" in methods:
         psi = from_series(pair.series, pair.beta, pair.mode)
         thetas = [2.0 * math.pi * j / 24 for j in range(24)]
-        cfg = oracles.OracleConfig(rk_step_count=args.rk_steps)
         rk_vals = oracles.rk_sample(args.alpha, args.m, betas["rk"],
                                     args.parity, thetas, cfg)
         fs_vals = [(t, float(evaluate(psi, t))) for t in thetas]
@@ -462,8 +455,9 @@ def _repro_table4(data: dict, alpha: float, rk_steps: int) -> TableReport:
     report = TableReport(table_id=4, tolerance=tol)
     thetas = [t * math.pi for t in table["theta_over_pi"]]
     state = table["state"]
-    states = _sector_states(alpha, state["m"], state["parity"], table["order"],
-                            table["scan_max"], 0.02)
+    states = eigensolver.find_eigenvalues(
+        alpha, ModeSpec(state["m"], state["parity"]), order=table["order"],
+        beta_max=table["scan_max"])
     pair = _select_state(states, state["lambda"])
     if pair is None:
         report.rows.append(ReportRow("state", None, None, None, False,
@@ -506,8 +500,9 @@ def _repro_table5(data: dict, alpha: float) -> TableReport:
     report = TableReport(table_id=5, tolerance=tol)
     for row in table["rows"]:
         state = row["state"]
-        states = _sector_states(alpha, state["m"], state["parity"],
-                                table["order"], row["scan_max"], 0.02)
+        states = eigensolver.find_eigenvalues(
+            alpha, ModeSpec(state["m"], state["parity"]), order=table["order"],
+            beta_max=row["scan_max"])
         pair = _select_state(states, state["lambda"])
         if pair is None:
             report.rows.append(ReportRow(row["label"], None, None, None, False,
@@ -599,16 +594,18 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _state_arg(text: str):
-    if text == "trivial":
-        return "trivial"
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad state {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
     if value < 1:
-        raise argparse.ArgumentTypeError("state index starts at 1")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _state_arg(text: str):
+    return "trivial" if text == "trivial" else _positive_int(text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -653,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", type=_state_arg, required=True,
                    help="1-based index within the parity sector, or 'trivial'")
     p.add_argument("--parity", choices=("even", "odd"), default="even")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_positive_int, default=64)
     p.set_defaults(func=cmd_wavefn)
 
     p = sub.add_parser("compare", help="cross-check a state between methods")
@@ -673,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="emit a surface mesh as CSV")
     p.add_argument("--minor-radius", type=float, default=1.0)
     p.add_argument("--major-radius", type=float, default=2.0)
-    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--grid", type=_positive_int, default=32)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_embed)
 

@@ -451,8 +451,8 @@ def _m0_series(alpha: float, mode: ModeSpec, beta: float, order: int) -> Coeffic
                              d=tuple(float(x) for x in vals), log_scale=0.0)
 
 
-def _find_m0(alpha: float, mode: ModeSpec, order: int, beta_max: float,
-             include_trivial: bool) -> tuple[list[Eigenpair], list[Eigenpair]]:
+def _find_m0(alpha: float, mode: ModeSpec, order: int,
+             beta_max: float) -> tuple[list[Eigenpair], list[Eigenpair]]:
     roots = np.sort(_m0_pencil_eigvals(alpha, mode.parity, order))
     if mode.parity == "even":
         # the n = 0 row carries an overall factor beta: its root is the
@@ -462,7 +462,7 @@ def _find_m0(alpha: float, mode: ModeSpec, order: int, beta_max: float,
     roots_n2 = roots_n2[roots_n2.imag == 0.0].real
     accepted: list[Eigenpair] = []
     rejected: list[Eigenpair] = []
-    if mode.parity == "even" and include_trivial:
+    if mode.parity == "even":
         accepted.append(_trivial_eigenpair(alpha, order))
     for root in roots:
         beta = float(root.real)
@@ -472,7 +472,8 @@ def _find_m0(alpha: float, mode: ModeSpec, order: int, beta_max: float,
         res, rel = _series_quality(series, alpha, mode, beta)
         b2 = float(roots_n2[np.argmin(np.abs(roots_n2 - beta))])
         estimate = abs(beta - b2) * (1.0 + 1e-9) + 1e-14
-        spurious = root.imag != 0.0 or _is_spurious(beta, rel)
+        # the pencil has no marching poles: only a non-real root is spurious
+        spurious = root.imag != 0.0
         diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
                                 beta_by_order={order: beta, order + 2: b2},
                                 convergence_estimate=estimate, spurious=spurious)
@@ -529,7 +530,6 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
 
 def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
                      beta_max: float = 25.0, scan_step: float = 0.02,
-                     include_trivial: bool = True,
                      return_rejected: bool = False):
     """All eigenvalues of one (m, parity) sector up to beta_max.
 
@@ -550,7 +550,7 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
     if scan_step <= 0:
         raise ValueError(f"scan_step must be positive, got {scan_step}")
     if mode.m == 0:
-        accepted, rejected = _find_m0(alpha, mode, order, beta_max, include_trivial)
+        accepted, rejected = _find_m0(alpha, mode, order, beta_max)
         accepted.sort(key=lambda p: p.beta)
     else:
         accepted, rejected = determinant_scan(alpha, mode, order, beta_max, scan_step)

@@ -24,13 +24,13 @@ Two methods that share no machinery with the Fourier recursion:
           = beta (1 + alpha sin) psi
 
   on a uniform periodic grid.  The operator commutes with the reflection
-  theta -> pi - theta, which maps an even grid onto itself, so the periodic
-  matrix splits into an even and an odd sector, each a symmetric
-  tridiagonal matrix on the half loop pi/2..3pi/2 (a diagonal similarity by
-  the square root of the weight makes it symmetric, so eigenvalues are
-  guaranteed real).  Each run is paired with a half-resolution run and
-  Richardson-extrapolated, which removes the leading h^2 error; the odd
-  half of an n % 4 == 2 grid has no mirror symmetry and is solved whole.
+  theta -> pi - theta, which maps the grid onto itself (an odd grid is
+  placed with a node at pi/2), so the periodic matrix splits into an even
+  and an odd sector, each a symmetric tridiagonal matrix on the half loop
+  pi/2..3pi/2 (a diagonal similarity by the square root of the weight
+  makes it symmetric, so eigenvalues are guaranteed real).  Each sector is
+  paired with the same sector of a half-resolution run and
+  Richardson-extrapolated, which removes the leading h^2 error.
 """
 
 from __future__ import annotations
@@ -73,16 +73,11 @@ class OracleConfig:
     """Shared oracle knobs; defaults favor determinism over speed."""
 
     rk_step_count: int = 4096       # fixed RK4 steps per half-loop (pi interval)
-    fd_grid_size: int = 1024
     matching_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.rk_step_count < 100:
             raise ValueError(f"rk_step_count must be >= 100, got {self.rk_step_count}")
-        if self.fd_grid_size < 64 or self.fd_grid_size % 2:
-            raise ValueError(f"fd_grid_size must be even and >= 64, got {self.fd_grid_size}")
-        if self.fd_grid_size > FD_GRID_CAP:
-            raise ValueError(f"fd_grid_size is capped at {FD_GRID_CAP}")
         if not (self.matching_tolerance > 0):
             raise ValueError("matching_tolerance must be positive")
 
@@ -274,31 +269,27 @@ def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
                 k_lowest: int = 8, parity: Parity | None = None) -> list[SpectralPoint]:
     """Lowest eigenvalues from the periodic flux-form discretization.
 
-    Runs the grid and its half, Richardson-extrapolates the pair (the
-    discretization is second order, so the combination cancels the leading
-    error term), and reports the correction magnitude as the per-eigenvalue
-    error estimate.  With ``parity`` the result is that mirror sector only;
-    without, both sectors merged in ascending order.
+    Pairs each mirror sector of the grid with the same sector of its half,
+    Richardson-extrapolates each pair (the discretization is second order,
+    so the combination cancels the leading error term), and reports the
+    correction magnitude as the per-eigenvalue error estimate.  With
+    ``parity`` the result is that sector only; without, both sectors merged
+    in ascending order of the full-grid value.
     """
-    cfg = OracleConfig(fd_grid_size=grid_size)  # reuse the range validation
-    n = cfg.fd_grid_size
+    n = grid_size
+    if n < 64 or n % 2:
+        raise ValueError(f"grid_size must be even and >= 64, got {n}")
+    if n > FD_GRID_CAP:
+        raise ValueError(f"grid_size is capped at {FD_GRID_CAP}")
     if not 1 <= k_lowest <= n // 2:
         raise ValueError(f"k_lowest must be in [1, {n // 2}], got {k_lowest}")
     if parity is not None:
         _check_parity(parity)
-    if parity is not None and (n // 2) % 2 == 0:
-        pairs = list(zip(_fd_raw(alpha, m, n, parity), _fd_raw(alpha, m, n // 2, parity)))
-    else:
-        # merged spectra pair by position; an odd half grid has no mirror
-        # symmetry, so its values take the parity of their full-grid partner
-        full = sorted((float(b), p) for p in ("even", "odd")
-                      for b in _fd_raw(alpha, m, n, p))
-        if (n // 2) % 2:
-            half = _fd_periodic(alpha, m, n // 2)
-        else:
-            half = np.sort(np.concatenate([_fd_raw(alpha, m, n // 2, p)
-                                           for p in ("even", "odd")]))
-        pairs = [(bf, bh) for (bf, p), bh in zip(full, half) if parity in (None, p)]
+    # merge by the full-grid value: pairs near the half grid's cutoff
+    # extrapolate below lower states (64 points, alpha 0.9, m 3: 116.9 last)
+    pairs = sorted((float(bf), float(bh))
+                   for p in (("even", "odd") if parity is None else (parity,))
+                   for bf, bh in zip(_fd_raw(alpha, m, n, p), _fd_raw(alpha, m, n // 2, p)))
     if len(pairs) < k_lowest:
         raise ValueError(
             f"k_lowest={k_lowest} exceeds the {len(pairs)} {parity} states "
@@ -306,52 +297,47 @@ def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
         )
     out = []
     for bf, bh in pairs[:k_lowest]:
-        corr = float(bf - bh) / 3.0
-        out.append(SpectralPoint(beta=max(0.0, float(bf) + corr),
-                                 error_estimate=abs(corr)))
+        corr = (bf - bh) / 3.0
+        out.append(SpectralPoint(beta=max(0.0, bf + corr), error_estimate=abs(corr)))
     return out
 
 
 def _fd_raw(alpha: float, m: int, n: int, parity: Parity) -> np.ndarray:
-    """Ascending eigenvalues of one mirror sector of the even grid of n points.
+    """Ascending eigenvalues of one mirror sector of the grid of n points.
 
-    The sector lives on the grid nodes of the half loop pi/2..3pi/2.  When
-    n % 4 == 0 both fixed points are nodes: the even sector keeps them with
-    half their mass and diagonal, the odd sector (which vanishes there)
-    drops them.  When n % 4 == 2 the fixed points lie half a step outside
-    the end nodes, whose mirror neighbour is the end node itself, so its
-    coupling returns to the diagonal with the sector's sign.
+    An even grid has nodes j h, an odd grid pi/2 + j h, so theta -> pi - theta
+    carries either onto itself.  The sector lives on the nodes of the half
+    loop pi/2..3pi/2, and each of its two ends is a node or half a step off.
+    A node end is a fixed point: the even sector keeps it with half its mass
+    and diagonal, the odd sector (which vanishes there) drops it.  At a
+    half-step end the end node's mirror neighbour is the end node itself, so
+    its coupling returns to the diagonal with the sector's sign.  Both ends
+    are nodes when n % 4 == 0, neither when n % 4 == 2, and only pi/2 when n
+    is odd.
     """
     h = 2.0 * pi / n
-    quarter, rem = divmod(n, 4)
-    first = quarter if rem == 0 else quarter + 1
-    theta = np.arange(first, first + n // 2 + 1 - rem // 2) * h
-    diag, off, mass, wm = _fd_rows(alpha, m, theta, h)
-    if rem == 0 and parity == "even":
-        diag[[0, -1]] *= 0.5
-        mass[[0, -1]] *= 0.5
-    elif rem == 0:
-        diag, off, mass = diag[1:-1], off[1:-1], mass[1:-1]
+    if n % 2:
+        theta = pi / 2 + np.arange(n // 2 + 1) * h
+        node_ends = (True, False)
     else:
-        sign = 1.0 if parity == "even" else -1.0
-        diag[0] -= sign * wm[0] / h**2
-        diag[-1] += sign * off[-1]
+        quarter, rem = divmod(n, 4)
+        first = quarter if rem == 0 else quarter + 1
+        theta = np.arange(first, first + n // 2 + 1 - rem // 2) * h
+        node_ends = (rem == 0, rem == 0)
+    diag, off, mass, wm = _fd_rows(alpha, m, theta, h)
+    sign = 1.0 if parity == "even" else -1.0
+    for end, node, mirror in ((0, node_ends[0], -wm[0] / h**2),
+                              (-1, node_ends[1], off[-1])):
+        if not node:
+            diag[end] += sign * mirror
+        elif parity == "even":
+            diag[end] *= 0.5
+            mass[end] *= 0.5
+    if parity == "odd":
+        keep = slice(int(node_ends[0]), len(theta) - int(node_ends[1]))
+        diag, off, mass = diag[keep], off[keep], mass[keep]
     s = 1.0 / np.sqrt(mass)
     return _eigvalsh(_lower_tridiagonal(diag * s * s, off[:-1] * s[:-1] * s[1:]), n, m)
-
-
-def _fd_periodic(alpha: float, m: int, n: int) -> np.ndarray:
-    """Ascending eigenvalues of the whole periodic grid of odd n points.
-
-    An odd grid is not carried onto itself by theta -> pi - theta, so it has
-    no mirror sectors; it only arises as the half of an n % 4 == 2 grid.
-    """
-    h = 2.0 * pi / n
-    diag, off, w, _ = _fd_rows(alpha, m, np.arange(n) * h, h)
-    s = 1.0 / np.sqrt(w)
-    sym = _lower_tridiagonal(diag * s * s, off[:-1] * s[:-1] * s[1:])
-    sym[-1, 0] = off[-1] * s[-1] * s[0]     # the wrap-around coupling
-    return _eigvalsh(sym, n, m)
 
 
 def _fd_rows(alpha: float, m: int, theta: np.ndarray, h: float):

@@ -21,9 +21,13 @@ def run_cli(tmp_path, *argv):
 
 class TestExitCodes:
     def test_usage_error_is_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--order", "not-a-number"])
-        assert exc.value.code == 2
+        for argv in (["spectrum", "--order", "not-a-number"],
+                     ["wavefn", "--m", "0", "--state", "1", "--samples", "-3"],
+                     ["wavefn", "--m", "0", "--state", "1", "--samples", "0"],
+                     ["embed", "--grid", "-2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_unknown_method_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
