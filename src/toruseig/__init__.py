@@ -4,7 +4,10 @@ The separated poloidal equation is solved by a Fourier-coefficient
 recursion (for m = 0 a truncated tridiagonal pencil, whose eigenvalues are
 the roots of the truncated-coefficient polynomial; for general m a two-seed
 tail determinant) and verified against two independent oracles: Runge-Kutta
-shooting and a periodic finite-difference discretization.
+shooting and a periodic finite-difference discretization.  One real
+three- or five-term stencil, in the phase-reduced storage d_n, encodes the
+recursion; the tests check it by projecting the equation itself onto
+Fourier modes.
 """
 
 from .eigensolver import (
@@ -25,15 +28,7 @@ from .oracles import (
     rk_mismatch,
     rk_sample,
 )
-from .recursion import (
-    CoefficientSeries,
-    ModeSpec,
-    RecursionRow,
-    five_term_row,
-    propagate,
-    residual,
-    three_term_row,
-)
+from .recursion import CoefficientSeries, ModeSpec, propagate, residual
 from .wavefunction import (
     Eigenfunction,
     compare_scaled,
@@ -52,7 +47,6 @@ __all__ = [
     "Eigenpair",
     "ModeSpec",
     "OracleConfig",
-    "RecursionRow",
     "ShootingState",
     "SpectralPoint",
     "TorusShape",
@@ -65,7 +59,6 @@ __all__ = [
     "evaluate",
     "fd_spectrum",
     "find_eigenvalues",
-    "five_term_row",
     "from_series",
     "metric_factor",
     "normalize",
@@ -76,5 +69,4 @@ __all__ = [
     "rk_mismatch",
     "rk_sample",
     "roots_warm_started",
-    "three_term_row",
 ]

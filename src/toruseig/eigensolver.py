@@ -124,21 +124,22 @@ def coefficient_polynomials(alpha: float, parity: Parity, order: int) -> list[Be
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    # row n in d storage: [n(n+1)-b] d_{n+1} + (2/a)(b-n^2) d_n - [b-n(n-1)] d_{n-1} = 0
-    def p_lead(n):   return np.array([n * (n + 1), -1.0])      # n(n+1) - b
-    def t_center(n): return np.array([-2.0 * n * n / alpha, 2.0 / alpha])
-    def t_lag(n):    return np.array([-float(n * (n - 1)), 1.0])  # b - n(n-1)
-
+    # rows[n] = (tm, t0, tp) of _d_row_three as polynomials in beta; each is
+    # affine, row(b) = row(0) + b (row(1) - row(0))
+    rows = [[np.array([a, b - a]) for a, b in
+             zip(_d_row_three(n, alpha, 0.0), _d_row_three(n, alpha, 1.0))]
+            for n in range(order)]
     if parity == "even":
         q = [np.array([1.0]), np.array([1.0 / alpha])]
     else:
         q = [np.array([0.0]), np.array([1.0])]
     if order >= 2:
-        q.append(np.convolve(t_lag(1), q[0]) - np.convolve(t_center(1), q[1]))
+        tm, t0, _ = rows[1]
+        q.append(-(np.convolve(tm, q[0]) + np.convolve(t0, q[1])))
     for n in range(2, order):
-        nxt = (np.convolve(np.convolve(t_lag(n), p_lead(n - 1)), q[n - 1])
-               - np.convolve(t_center(n), q[n]))
-        q.append(nxt)
+        tm, t0, _ = rows[n]
+        lead = rows[n - 1][2]
+        q.append(-(np.convolve(np.convolve(tm, lead), q[n - 1]) + np.convolve(t0, q[n])))
     return [
         BetaPolynomial(coefficients=tuple(float(c) for c in q[n]),
                        source_index=n, parity=parity)
@@ -342,8 +343,9 @@ class Eigenpair:
 
 def _series_quality(series: CoefficientSeries, alpha: float, mode: ModeSpec,
                     beta: float) -> tuple[float, float]:
-    res = residual(series, alpha, mode, beta)
-    psi_max = float(np.max(np.abs(reconstruct(series, _residual_grid(series.order))[0])))
+    grid = _residual_grid(series.order)
+    res = residual(series, alpha, mode, beta, grid_size=grid.size)
+    psi_max = float(np.max(np.abs(reconstruct(series, grid)[0])))
     rel = res / psi_max if psi_max > 0 else math.inf
     return res, rel
 

@@ -273,8 +273,11 @@ def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
     Richardson-extrapolates each pair (the discretization is second order,
     so the combination cancels the leading error term), and reports the
     correction magnitude as the per-eigenvalue error estimate.  With
-    ``parity`` the result is that sector only; without, both sectors merged
-    in ascending order of the full-grid value.
+    ``parity`` the result is that sector only; without, both sectors merged.
+    Near the half grid's cutoff the extrapolated values stop rising, so each
+    sector ends before its first descent and the result is ascending; a
+    ``k_lowest`` past that end raises ``ValueError`` naming the largest
+    valid value.
     """
     n = grid_size
     if n < 64 or n % 2:
@@ -285,21 +288,25 @@ def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
         raise ValueError(f"k_lowest must be in [1, {n // 2}], got {k_lowest}")
     if parity is not None:
         _check_parity(parity)
-    # merge by the full-grid value: pairs near the half grid's cutoff
-    # extrapolate below lower states (64 points, alpha 0.9, m 3: 116.9 last)
-    pairs = sorted((float(bf), float(bh))
-                   for p in (("even", "odd") if parity is None else (parity,))
-                   for bf, bh in zip(_fd_raw(alpha, m, n, p), _fd_raw(alpha, m, n // 2, p)))
-    if len(pairs) < k_lowest:
+    points = []
+    for p in ("even", "odd") if parity is None else (parity,):
+        full, half = _fd_raw(alpha, m, n, p), _fd_raw(alpha, m, n // 2, p)
+        k = min(full.size, half.size)
+        corr = (full[:k] - half[:k]) / 3.0
+        beta = full[:k] + corr
+        # 64 points, alpha 0.9, m 3, even: ..., 222.2, 234.4, 218.1, 158.1
+        descents = np.flatnonzero(np.diff(beta) < 0.0)
+        k = int(descents[0]) + 1 if descents.size else k
+        points += zip(beta[:k].tolist(), corr[:k].tolist())
+    points.sort()
+    if len(points) < k_lowest:
         raise ValueError(
-            f"k_lowest={k_lowest} exceeds the {len(pairs)} {parity} states "
-            f"of the half grid {n // 2}"
+            f"k_lowest={k_lowest} exceeds the {len(points)} {parity or 'merged'} "
+            f"values that extrapolate in order from grids {n} and {n // 2}; "
+            f"use k_lowest <= {len(points)}"
         )
-    out = []
-    for bf, bh in pairs[:k_lowest]:
-        corr = (bf - bh) / 3.0
-        out.append(SpectralPoint(beta=max(0.0, bf + corr), error_estimate=abs(corr)))
-    return out
+    return [SpectralPoint(beta=max(0.0, b), error_estimate=abs(c))
+            for b, c in points[:k_lowest]]
 
 
 def _fd_raw(alpha: float, m: int, n: int, parity: Parity) -> np.ndarray:

@@ -1,15 +1,13 @@
 """Fourier-coefficient recursions for the separated poloidal equation.
 
-With psi(theta + 2 pi) = psi(theta) expanded as psi = sum_n c_n e^{i n theta},
-the separated equation
+With psi(theta + 2 pi) = psi(theta) expanded as psi = sum_n c_n e^{i n theta}
+and w = 1 + alpha sin(theta), the separated equation
 
-    psi'' + alpha cos(theta)/(1 + alpha sin(theta)) psi'
-          - m^2 alpha^2/(1 + alpha sin(theta))^2 psi + beta psi = 0
+    E[psi] = psi'' + alpha cos(theta)/w psi' - m^2 alpha^2/w^2 psi + beta psi = 0
 
-projects onto e^{i n theta} after clearing the denominators.  Multiplying
-through by (1 + alpha sin(theta)) (m = 0) couples three consecutive
-coefficients; multiplying by (1 + alpha sin(theta))^2 (general m) couples
-five.  The projection uses
+projects onto e^{i n theta} after clearing the denominators: the n-th
+Fourier coefficient of w E[psi] (m = 0) couples three consecutive
+coefficients, that of w^2 E[psi] (general m) five.  The projection uses
 
     sin(theta) f  ->  (f_{n-1} - f_{n+1}) / (2i)
     cos(theta) f  ->  (f_{n-1} + f_{n+1}) / 2
@@ -17,9 +15,14 @@ five.  The projection uses
 and the analogous double-angle rules.
 
 The operator is invariant under theta -> pi - theta, so solutions split into
-even and odd sectors.  Internally all arithmetic is real: we store
-d_n = c_n / i^n, which turns the parity relations into d_{-n} = +/- d_n and
-makes every recursion multiplier real.  In the shifted angle u = theta + pi/2
+even and odd sectors.  All arithmetic is real: the series is stored as
+d_n = c_n / i^n (even) or c_n / i^(n-1) (odd), which turns the parity
+relations into d_{-n} = +/- d_n and makes every row multiplier real.  One
+real stencil encodes the recursion: row n of ``_d_row_three`` applied to d
+is (2/alpha) times the n-th coefficient of w E[psi], and row n of
+``_d_row_five`` the n-th coefficient of w^2 E[psi], each divided by the same
+power of i as d_n.  The tests verify this by projection, against an FFT of
+the equation evaluated on a grid.  In the shifted angle u = theta + pi/2
 (origin at the inner equator) the even sector is a cosine series and the odd
 sector a sine series.
 """
@@ -27,7 +30,7 @@ sector a sine series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -41,9 +44,6 @@ __all__ = [
     "Parity",
     "ModeSpec",
     "CoefficientSeries",
-    "RecursionRow",
-    "three_term_row",
-    "five_term_row",
     "propagate",
     "residual",
     "reconstruct",
@@ -75,10 +75,10 @@ class CoefficientSeries:
     """Two-sided Fourier series in phase-reduced real storage.
 
     ``d[k]`` holds c_k / i^k (even sector) or c_k / i^(k-1) (odd sector) for
-    k = 0..order; the negative side follows from parity, so a violating
-    series cannot be represented.  ``log_scale`` accumulates the natural log
-    of any overflow rescaling applied during propagation; the true
-    coefficients are d * exp(log_scale).
+    k = 0..order; the negative side follows from parity, d_{-k} = d_k (even)
+    or -d_k (odd), so a violating series cannot be represented.
+    ``log_scale`` accumulates the natural log of any overflow rescaling
+    applied during propagation; the true coefficients are d * exp(log_scale).
     """
 
     order: int
@@ -96,87 +96,8 @@ class CoefficientSeries:
         if self.parity == "odd" and self.d[0] != 0.0:
             raise ValueError("odd-parity series must have d_0 == 0")
 
-    def c(self, n: int) -> complex:
-        """Complex Fourier coefficient c_n, n in [-order, order].
-
-        Reported in the stored scale, i.e. without the common exp(log_scale)
-        factor; all coefficient ratios are unaffected.
-        """
-        k = abs(n)
-        if k > self.order:
-            raise IndexError(f"index {n} outside truncation order {self.order}")
-        if self.parity == "even":
-            ck = (1j ** k) * self.d[k]
-            return ck if n >= 0 else (-1) ** k * ck
-        ck = (1j ** (k - 1)) * self.d[k] if k >= 1 else 0.0 + 0.0j
-        return ck if n >= 0 else (-1) ** (k + 1) * ck
-
-    def entries(self) -> dict[int, complex]:
-        """The full index -> c_n map over [-order, order]."""
-        return {n: self.c(n) for n in range(-self.order, self.order + 1)}
-
     def max_abs(self) -> float:
         return max(abs(v) for v in self.d)
-
-
-@dataclass(frozen=True)
-class RecursionRow:
-    """One projected row: sum over offsets of coefficient * c_{center+offset}."""
-
-    center: int
-    coefficients: dict[int, complex] = field(hash=False)
-
-    def dot(self, series: CoefficientSeries) -> complex:
-        total = 0.0 + 0.0j
-        for offset, coeff in sorted(self.coefficients.items()):
-            if coeff == 0:
-                continue
-            total += coeff * series.c(self.center + offset)
-        return total
-
-
-def three_term_row(n: int, alpha: float, beta: float) -> RecursionRow:
-    """Row of the m = 0 recursion, from projecting (1 + alpha sin)*(equation).
-
-    Normalized so the c_{n+1} multiplier is n(n+1) - beta:
-
-        [n(n+1) - beta] c_{n+1} + (2i/alpha)(beta - n^2) c_n
-                                + [beta - n(n-1)] c_{n-1} = 0
-    """
-    _check_alpha(alpha)
-    return RecursionRow(
-        center=n,
-        coefficients={
-            -2: 0.0 + 0.0j,
-            -1: complex(beta - n * (n - 1)),
-            0: 2j / alpha * (beta - n * n),
-            1: complex(n * (n + 1) - beta),
-            2: 0.0 + 0.0j,
-        },
-    )
-
-
-def five_term_row(n: int, alpha: float, m: int, beta: float) -> RecursionRow:
-    """Row of the general-m recursion, from (1 + alpha sin)^2 * (equation).
-
-    Reduces to the three-term content at m = 0 after factoring out one power
-    of the weight; the reduction is verified numerically by the residual
-    check, not symbolically.
-    """
-    _check_alpha(alpha)
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    a2 = alpha * alpha
-    return RecursionRow(
-        center=n,
-        coefficients={
-            -2: complex(a2 / 4 * ((n - 2) * (n - 1) - beta)),
-            -1: 1j * alpha * ((n - 1) ** 2 + (n - 1) / 2 - beta),
-            0: complex((1 + a2 / 2) * (beta - n * n) - m * m * a2),
-            1: 1j * alpha * (beta - (n + 1) ** 2 + (n + 1) / 2),
-            2: complex(a2 / 4 * ((n + 2) * (n + 1) - beta)),
-        },
-    )
 
 
 def _check_alpha(alpha: float) -> None:

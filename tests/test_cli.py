@@ -103,6 +103,20 @@ class TestSpectrumCommand:
              "converged"], rows)
         assert again == text
 
+    def test_orders_above_64(self, tmp_path):
+        # the residual grid grows with the order (4 points per harmonic)
+        code, text = run_cli(tmp_path, "spectrum", "--m", "0", "--order", "80",
+                             "--beta-max", "3")
+        assert code == 0
+        states = [ev for rec in json.loads(text)["records"] for ev in rec["eigenvalues"]
+                  if not ev["trivial"]]
+        assert [ev["beta"] for ev in states] == pytest.approx([1.1222883, 0.9767313],
+                                                              abs=1e-7)
+        assert all(ev["converged"] and ev["residual"] < 1e-10 for ev in states)
+        code, _ = run_cli(tmp_path, "wavefn", "--m", "0", "--state", "1",
+                          "--order", "80")
+        assert code == 0
+
 
 class TestWavefnCommand:
     def test_trivial_state_export(self, tmp_path):

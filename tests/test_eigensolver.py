@@ -303,3 +303,23 @@ class TestM0Pencil:
         assert pairs and not rejected
         for p in pairs:
             assert p.diagnostics.residual_rel <= 1e-5
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(alpha=st.floats(min_value=0.05, max_value=0.95),
+           order=st.sampled_from(PENCIL_ORDERS),
+           parity=st.sampled_from(("even", "odd")))
+    def test_agrees_with_fd_across_parameter_space(self, alpha, order, parity):
+        # every converged state (the CLI's rule) is the FD state of the same
+        # sector and index; at N = 40 none below beta_max is missing
+        pairs = find_eigenvalues(alpha, ModeSpec(0, parity), order=order, beta_max=10.0)
+        fd = [s.beta for s in fd_spectrum(alpha, 0, grid_size=1024,
+                                          k_lowest=len(pairs) + 2, parity=parity)]
+        converged = [p.trivial or (p.diagnostics.convergence_estimate is not None
+                                   and p.diagnostics.convergence_estimate < 1e-6)
+                     for p in pairs]
+        for i, (p, ok) in enumerate(zip(pairs, converged)):
+            if ok:
+                assert p.beta == pytest.approx(fd[i], abs=1e-5)
+        if order == 40:
+            below = sum(b < 9.95 for b in fd)
+            assert below <= len(pairs) and all(converged[:below])

@@ -279,3 +279,19 @@ class TestFdParitySectors:
             fd_spectrum(ALPHA, 0, grid_size=64, k_lowest=32, parity="odd")
         with pytest.raises(ValueError):
             fd_spectrum(ALPHA, 0, grid_size=64, k_lowest=2, parity="up")
+
+    def test_k_lowest_past_first_descent_is_rejected(self):
+        # 64 points, alpha 0.9, m 3: the even sector's extrapolated values
+        # descend from index 14 on (234.4 -> 218.1), the odd from 13
+        with pytest.raises(ValueError, match=r"k_lowest <= 14\b"):
+            fd_spectrum(0.9, 3, grid_size=64, k_lowest=17, parity="even")
+        even = [p.beta for p in fd_spectrum(0.9, 3, grid_size=64, k_lowest=14, parity="even")]
+        assert even == sorted(even)
+        with pytest.raises(ValueError, match=r"k_lowest <= 27\b"):
+            fd_spectrum(0.9, 3, grid_size=64, k_lowest=28)
+        merged = [p.beta for p in fd_spectrum(0.9, 3, grid_size=64, k_lowest=27)]
+        assert merged == sorted(merged)
+        # the sectors of a flat ring are nearly degenerate: the merge follows
+        # the extrapolated values, not the full-grid ones
+        flat = [p.beta for p in fd_spectrum(1e-3, 0, grid_size=64, k_lowest=32)]
+        assert flat == sorted(flat)

@@ -66,9 +66,11 @@ class TestFromSeries:
         pair = [p for p in m0_states if not p.trivial][1]
         psi = from_series(pair.series, pair.beta, pair.mode)
         th = np.arange(256) * 2 * math.pi / 256
+        # storage rule of an even series: c_n = i^n d_n, with d_{-n} = d_n
+        d = pair.series.d
         direct = np.zeros(256, dtype=complex)
         for n in range(-pair.series.order, pair.series.order + 1):
-            direct += pair.series.c(n) * np.exp(1j * n * th)
+            direct += 1j ** n * d[abs(n)] * np.exp(1j * n * th)
         assert np.max(np.abs(evaluate(psi, th) - direct.real)) < 1e-12 * np.max(np.abs(direct))
 
 
