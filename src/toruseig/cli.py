@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from . import eigensolver, oracles
@@ -443,10 +443,7 @@ def _repro_eigenvalue_table(table_id: int, data: dict, alpha: float,
 
 def _truncated(psi: Eigenfunction, kmax: int) -> Eigenfunction:
     k = min(kmax, psi.max_harmonic)
-    return Eigenfunction(mode=psi.mode, beta=psi.beta, a=psi.a[: k + 1],
-                         b=psi.b[: k + 1], lambda_index=psi.lambda_index,
-                         normalization=psi.normalization,
-                         provenance=psi.provenance)
+    return replace(psi, a=psi.a[: k + 1], b=psi.b[: k + 1])
 
 
 def _repro_table4(data: dict, alpha: float, rk_steps: int) -> TableReport:

@@ -37,6 +37,7 @@ from .recursion import (
     Parity,
     _check_alpha,
     _d_row_three,
+    _residual_grid,
     march_five_safe,
     reconstruct,
     residual,
@@ -343,16 +344,10 @@ class Eigenpair:
 
 def _series_quality(series: CoefficientSeries, alpha: float, mode: ModeSpec,
                     beta: float) -> tuple[float, float]:
-    grid = _residual_grid(series.order)
-    res = residual(series, alpha, mode, beta, grid_size=grid.size)
-    psi_max = float(np.max(np.abs(reconstruct(series, grid)[0])))
+    res = residual(series, alpha, mode, beta)
+    psi_max = float(np.max(np.abs(reconstruct(series, _residual_grid(series.order))[0])))
     rel = res / psi_max if psi_max > 0 else math.inf
     return res, rel
-
-
-def _residual_grid(order: int) -> np.ndarray:
-    n = max(256, 4 * order)
-    return np.arange(n) * (2.0 * math.pi / n)
 
 
 def _combined_series(alpha: float, mode: ModeSpec, beta: float, order: int,

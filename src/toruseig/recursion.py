@@ -15,16 +15,18 @@ coefficients, that of w^2 E[psi] (general m) five.  The projection uses
 and the analogous double-angle rules.
 
 The operator is invariant under theta -> pi - theta, so solutions split into
-even and odd sectors.  All arithmetic is real: the series is stored as
-d_n = c_n / i^n (even) or c_n / i^(n-1) (odd), which turns the parity
-relations into d_{-n} = +/- d_n and makes every row multiplier real.  One
-real stencil encodes the recursion: row n of ``_d_row_three`` applied to d
-is (2/alpha) times the n-th coefficient of w E[psi], and row n of
-``_d_row_five`` the n-th coefficient of w^2 E[psi], each divided by the same
-power of i as d_n.  The tests verify this by projection, against an FFT of
-the equation evaluated on a grid.  In the shifted angle u = theta + pi/2
-(origin at the inner equator) the even sector is a cosine series and the odd
-sector a sine series.
+even and odd sectors.  All arithmetic is real.  The package's one storage
+rule: a series of parity p (0 even, 1 odd) stores d_n = c_n / i^(n - p),
+n = 0..order, which turns the parity relations into d_{-n} = +/- d_n and
+makes every row multiplier real.  One real stencil encodes the recursion:
+row n of ``_d_row_three`` applied to d is (2/alpha) times the n-th
+coefficient of w E[psi], and row n of ``_d_row_five`` the n-th coefficient
+of w^2 E[psi], each divided by the same power of i as d_n.  The tests verify
+this by projection, against an FFT of the equation evaluated on a grid.
+
+Since psi is real, c_{-k} = conj(c_k): psi = a_0 + sum_k a_k cos(k theta)
++ b_k sin(k theta) with a_0 = d_0, a_k = 2 Re c_k and b_k = -2 Im c_k
+(``_trig_coefficients``), and ``_trig_sum`` evaluates that sum.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ Parity = Literal["even", "odd"]
 
 RESCALE_THRESHOLD = 1e100
 _POLE_EPS = 1e-280
+_TABLE_SIZE = 1 << 14
 
 __all__ = [
     "Parity",
@@ -74,8 +77,8 @@ class ModeSpec:
 class CoefficientSeries:
     """Two-sided Fourier series in phase-reduced real storage.
 
-    ``d[k]`` holds c_k / i^k (even sector) or c_k / i^(k-1) (odd sector) for
-    k = 0..order; the negative side follows from parity, d_{-k} = d_k (even)
+    ``d[k]`` holds d_k for k = 0..order by the storage rule of the module
+    docstring; the negative side follows from parity, d_{-k} = d_k (even)
     or -d_k (odd), so a violating series cannot be represented.
     ``log_scale`` accumulates the natural log of any overflow rescaling
     applied during propagation; the true coefficients are d * exp(log_scale).
@@ -256,42 +259,58 @@ def propagate(seeds: float | tuple[float, ...], mode: ModeSpec, alpha: float,
                              d=tuple(d), log_scale=log_scale)
 
 
+def _trig_coefficients(series: CoefficientSeries) -> tuple[np.ndarray, np.ndarray]:
+    """(a_k, b_k) of a series by the storage rule, without its exp(log_scale)."""
+    k = np.arange(series.order + 1)
+    r = (k - (series.parity == "odd")) % 4  # c_k = i^r d_k
+    c = np.array(series.d) * np.where(k == 0, 1.0, 2.0) * np.where(r < 2, 1.0, -1.0)
+    return np.where(r % 2 == 0, c, 0.0), np.where(r % 2 == 1, -c, 0.0)
+
+
+def _trig_sum(a: np.ndarray, b: np.ndarray, thetas, derivatives: int = 0) -> np.ndarray:
+    """Rows sum_k a_k cos(k theta) + b_k sin(k theta) and its theta-derivatives.
+
+    Elementwise products on a theta x harmonic cos/sin table of at most about
+    _TABLE_SIZE entries per block, summed along the harmonic axis: memory
+    stays flat at high order, and no BLAS call makes the result depend on
+    the BLAS thread count.  Returns shape (derivatives+1,) + shape(thetas).
+    """
+    th = np.asarray(thetas, dtype=float)
+    flat = th.reshape(-1)
+    k = np.arange(len(a))
+    out = np.empty((derivatives + 1, flat.size))
+    step = max(1, _TABLE_SIZE // len(a))
+    for start in range(0, flat.size, step):
+        kt = np.multiply.outer(flat[start:start + step], k)
+        cos, sin = np.cos(kt), np.sin(kt)
+        ca, cb = a, b
+        for j in range(derivatives + 1):
+            out[j, start:start + step] = np.sum(ca * cos + cb * sin, axis=-1)
+            ca, cb = k * cb, -k * ca
+    return out.reshape((derivatives + 1,) + th.shape)
+
+
 def reconstruct(series: CoefficientSeries, thetas: np.ndarray,
                 derivatives: int = 0) -> np.ndarray:
     """Evaluate psi (and optionally theta-derivatives) on a grid.
 
     Returns an array of shape (derivatives+1, len(thetas)): rows are psi,
     psi', psi''...  Exact term-by-term differentiation of the trigonometric
-    sum; summation order is fixed (ascending harmonic) for determinism.
+    sum in the stored scale (see CoefficientSeries.log_scale); no BLAS call,
+    so the result does not depend on the BLAS thread count.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    u = thetas + math.pi / 2.0
-    out = np.zeros((derivatives + 1, thetas.size))
-    if series.parity == "even":
-        out[0] += series.d[0]
-        for k in range(1, series.order + 1):
-            cku, sku = np.cos(k * u), np.sin(k * u)
-            term = 2.0 * series.d[k]
-            out[0] += term * cku
-            if derivatives >= 1:
-                out[1] += -k * term * sku
-            if derivatives >= 2:
-                out[2] += -k * k * term * cku
-    else:
-        for k in range(1, series.order + 1):
-            cku, sku = np.cos(k * u), np.sin(k * u)
-            term = 2.0 * series.d[k]
-            out[0] += term * sku
-            if derivatives >= 1:
-                out[1] += k * term * cku
-            if derivatives >= 2:
-                out[2] += -k * k * term * sku
-    return out
+    return _trig_sum(*_trig_coefficients(series), np.ravel(thetas), derivatives)
+
+
+def _residual_grid(order: int) -> np.ndarray:
+    """The grid of ``residual``: max(256, 4 order) uniform points on [0, 2 pi)."""
+    n = max(256, 4 * order)
+    return np.arange(n) * (2.0 * math.pi / n)
 
 
 def residual(series: CoefficientSeries, alpha: float, mode: ModeSpec,
-             beta: float, grid_size: int = 256) -> float:
-    """Max absolute value of the separated equation over a uniform theta grid.
+             beta: float) -> float:
+    """Max absolute value of the separated equation over ``_residual_grid``.
 
     Uses exact differentiation of the truncated series, so the residual
     measures truncation and eigenvalue error only, not differencing error.
@@ -301,9 +320,7 @@ def residual(series: CoefficientSeries, alpha: float, mode: ModeSpec,
     _check_alpha(alpha)
     if mode.m != series.m or mode.parity != series.parity:
         raise ValueError("mode does not match the series")
-    if grid_size < 4 * series.order:
-        raise ValueError(f"grid_size must be >= 4*order = {4 * series.order}")
-    th = np.arange(grid_size) * (2.0 * math.pi / grid_size)
+    th = _residual_grid(series.order)
     psi, dpsi, d2psi = reconstruct(series, th, derivatives=2)
     w = 1.0 + alpha * np.sin(th)
     lhs = (d2psi + alpha * np.cos(th) / w * dpsi

@@ -5,6 +5,8 @@ An eigenfunction is stored as psi(theta) = a_0 + sum_k a_k cos(k theta)
 map as cos(k theta) -> (-1)^k cos(k theta) and sin(k theta) ->
 (-1)^(k+1) sin(k theta), so even-sector functions carry only
 {1, sin(odd k), cos(even k)} and odd-sector functions the complement.
+``from_series`` applies the storage rule of the ``recursion`` module docstring
+and ``evaluate`` its trigonometric sum.
 
 The orthogonality measure is the theta part of the surface area element,
 (1 + alpha sin(theta)) dtheta; the azimuthal factor e^{i m phi} contributes
@@ -19,10 +21,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .recursion import CoefficientSeries, ModeSpec
+from .recursion import CoefficientSeries, ModeSpec, _trig_coefficients, _trig_sum
 
 Normalization = Literal["none", "unit-weighted"]
-Provenance = Literal["fourier", "rk", "fd"]
 
 __all__ = [
     "Eigenfunction",
@@ -50,7 +51,6 @@ class Eigenfunction:
     b: tuple[float, ...]
     lambda_index: int | None = None
     normalization: Normalization = "none"
-    provenance: Provenance = "fourier"
 
     def __post_init__(self) -> None:
         if len(self.a) != len(self.b):
@@ -78,52 +78,32 @@ class Eigenfunction:
 
 def from_series(series: CoefficientSeries, beta: float, mode: ModeSpec,
                 lambda_index: int | None = None) -> Eigenfunction:
-    """Convert phase-reduced coefficients to the real trig basis.
+    """Convert stored coefficients to the real trig basis.
 
-    Pairs c_k with c_{-k}: with u = theta + pi/2, the even sector is
-    d_0 + 2 sum d_k cos(k u) and the odd sector 2 sum d_k sin(k u); expanding
-    cos/sin(k u) distributes each d_k onto a single cos(k theta) or
-    sin(k theta) with an alternating sign.  The series' common exp(log_scale)
+    Each d_k lands on one cos(k theta) or sin(k theta) by the storage rule
+    of the ``recursion`` module docstring.  The series' common exp(log_scale)
     factor is not materialized (it may not be representable); coefficient
     ratios are unaffected and normalize() fixes the scale outright.
     """
     if series.m != mode.m or series.parity != mode.parity:
         raise ValueError("mode does not match the series")
-    n = series.order
-    a = [0.0] * (n + 1)
-    b = [0.0] * (n + 1)
-    if mode.parity == "even":
-        a[0] = series.d[0]
-        for k in range(1, n + 1):
-            if k % 2 == 0:
-                a[k] = 2.0 * series.d[k] * (-1) ** (k // 2)
-            else:
-                b[k] = -2.0 * series.d[k] * (-1) ** ((k - 1) // 2)
-    else:
-        if series.d[0] != 0.0:
-            raise ValueError("odd-parity series with nonzero d_0")
-        for k in range(1, n + 1):
-            if k % 2 == 0:
-                b[k] = 2.0 * series.d[k] * (-1) ** (k // 2)
-            else:
-                a[k] = 2.0 * series.d[k] * (-1) ** ((k - 1) // 2)
-    return Eigenfunction(mode=mode, beta=beta, a=tuple(a), b=tuple(b),
-                         lambda_index=lambda_index)
+    a, b = _trig_coefficients(series)
+    return Eigenfunction(mode=mode, beta=beta, a=tuple(a.tolist()),
+                         b=tuple(b.tolist()), lambda_index=lambda_index)
 
 
 def evaluate(psi: Eigenfunction, theta):
-    """psi(theta); accepts scalars or arrays, sums harmonics in fixed order."""
-    th = np.asarray(theta, dtype=float)
-    total = np.full(th.shape, psi.a[0])
-    for k in range(1, len(psi.a)):
-        total = total + psi.a[k] * np.cos(k * th) + psi.b[k] * np.sin(k * th)
+    """psi(theta); accepts scalars or arrays.
+
+    No BLAS call, so the result does not depend on the BLAS thread count.
+    """
+    total = _trig_sum(np.array(psi.a), np.array(psi.b), theta)[0]
     if np.ndim(theta) == 0:
         return float(total)
     return total
 
 
-def overlap(psi1: Eigenfunction, psi2: Eigenfunction, alpha: float,
-            grid_size: int = 512) -> float:
+def overlap(psi1: Eigenfunction, psi2: Eigenfunction, alpha: float) -> float:
     """Weighted inner product over [0, 2 pi).
 
     Periodic trapezoid quadrature, exact for trigonometric polynomials well
@@ -133,8 +113,7 @@ def overlap(psi1: Eigenfunction, psi2: Eigenfunction, alpha: float,
         raise ValueError(
             f"overlap requires equal m, got {psi1.mode.m} and {psi2.mode.m}"
         )
-    need = 2 * (psi1.max_harmonic + psi2.max_harmonic) + 8
-    n = max(512, grid_size, need)
+    n = max(512, 2 * (psi1.max_harmonic + psi2.max_harmonic) + 8)
     th = np.arange(n) * (2.0 * math.pi / n)
     w = 1.0 + alpha * np.sin(th)
     vals = evaluate(psi1, th) * evaluate(psi2, th) * w

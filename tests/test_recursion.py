@@ -14,6 +14,7 @@ from toruseig.recursion import (
     reconstruct,
     residual,
 )
+from toruseig.wavefunction import evaluate, from_series
 
 ALPHA = 0.5
 # converged even-sector m=0 ground state at alpha = 0.5
@@ -213,6 +214,33 @@ class TestParity:
             assert np.max(np.abs(psi - direct.real)) < 1e-12 * peak
 
 
+class TestTrigonometricSum:
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(0, 40), st.sampled_from(["even", "odd"]), st.integers(0, 2**32 - 1))
+    def test_rows_match_complex_derivatives(self, order, parity, seed):
+        # row j of reconstruct is sum_n (i n)^j c_n e^{i n theta}, with c_n
+        # from the storage rule; d spans ten decades
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(order + 1) * 10.0 ** rng.uniform(-5, 5, order + 1)
+        if parity == "odd":
+            d[0] = 0.0
+        series = CoefficientSeries(order=order, m=0, parity=parity, d=tuple(d))
+        thetas = np.concatenate([np.linspace(-math.pi, math.pi, 29),
+                                 rng.uniform(-10, 10, 8)])
+        rows = reconstruct(series, thetas, derivatives=2)
+        n = np.arange(-order, order + 1)
+        c = np.array([complex_coefficient(series, k) for k in n])
+        waves = np.exp(1j * np.outer(thetas, n))
+        for j in range(3):
+            weights = (1j * n) ** j if j else np.ones(n.size)
+            direct = waves @ (weights * c)
+            scale = np.sum(np.abs(weights * c))
+            assert np.max(np.abs(direct.imag)) <= 1e-12 * scale
+            assert np.max(np.abs(rows[j] - direct.real)) <= 1e-12 * scale
+        psi = from_series(series, 0.0, ModeSpec(0, parity))
+        assert np.array_equal(evaluate(psi, thetas), rows[0])
+
+
 class TestPropagate:
     def test_trivial_constant_mode(self):
         series = propagate(1.0, ModeSpec(0, "even"), ALPHA, 0.0, 10)
@@ -268,10 +296,11 @@ class TestResidual:
         r_off = residual(off, ALPHA, mode, 2.5) / off.max_abs()
         assert r_off > 1e3 * r_on
 
-    def test_grid_precondition(self):
-        series = propagate(1.0, ModeSpec(0, "even"), ALPHA, 1.0, 10)
-        with pytest.raises(ValueError):
-            residual(series, ALPHA, ModeSpec(0, "even"), 1.0, grid_size=16)
+    def test_default_grid_above_order_64(self):
+        # the grid grows with the order (4 points per harmonic past 256)
+        series = propagate(1.0, ModeSpec(0, "even"), ALPHA, 1.0, 80)
+        res = residual(series, ALPHA, ModeSpec(0, "even"), 1.0)
+        assert math.isfinite(res) and res > 0.0
 
     def test_mode_mismatch_rejected(self):
         series = propagate(1.0, ModeSpec(0, "even"), ALPHA, 1.0, 10)
