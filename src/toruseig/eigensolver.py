@@ -37,10 +37,8 @@ from .recursion import (
     Parity,
     _check_alpha,
     _d_row_three,
-    _residual_grid,
+    _residual_and_peak,
     march_five_safe,
-    reconstruct,
-    residual,
 )
 
 DEFAULT_SEEDS = ((1.0, 1.0), (1.0, -1.0))
@@ -344,8 +342,7 @@ class Eigenpair:
 
 def _series_quality(series: CoefficientSeries, alpha: float, mode: ModeSpec,
                     beta: float) -> tuple[float, float]:
-    res = residual(series, alpha, mode, beta)
-    psi_max = float(np.max(np.abs(reconstruct(series, _residual_grid(series.order))[0])))
+    res, psi_max = _residual_and_peak(series, alpha, mode, beta)
     rel = res / psi_max if psi_max > 0 else math.inf
     return res, rel
 

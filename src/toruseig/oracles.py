@@ -28,14 +28,19 @@ Two methods that share no machinery with the Fourier recursion:
   placed with a node at pi/2), so the periodic matrix splits into an even
   and an odd sector, each a symmetric tridiagonal matrix on the half loop
   pi/2..3pi/2 (a diagonal similarity by the square root of the weight
-  makes it symmetric, so eigenvalues are guaranteed real).  Each sector is
-  paired with the same sector of a half-resolution run and
-  Richardson-extrapolated, which removes the leading h^2 error.
+  makes it symmetric, so eigenvalues are guaranteed real).  Only the
+  lowest k eigenvalues of a sector are computed: the Sturm count (the
+  LDL^T inertia of the shifted matrix) brackets each one, and Laguerre's
+  iteration converges on it, in O(n k) work and O(n) memory with no dense
+  matrix.  Each sector is paired with the same sector of a
+  half-resolution run and Richardson-extrapolated, which removes the
+  leading h^2 error.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import pi
@@ -44,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import SpectralPoint
-from .recursion import Parity, _check_parity
+from .recursion import Parity, _check_alpha, _check_parity
 
 FD_GRID_CAP = 2048
 
@@ -274,10 +279,14 @@ def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
     so the combination cancels the leading error term), and reports the
     correction magnitude as the per-eigenvalue error estimate.  With
     ``parity`` the result is that sector only; without, both sectors merged.
-    Near the half grid's cutoff the extrapolated values stop rising, so each
-    sector ends before its first descent and the result is ascending; a
-    ``k_lowest`` past that end raises ``ValueError`` naming the largest
-    valid value.
+    Each sector is solved for its lowest ``k_lowest`` eigenvalues only, by
+    Sturm counts and Laguerre steps on its tridiagonal matrix: O(n k_lowest)
+    work and no dense matrix.  Near the half grid's cutoff the extrapolated
+    values stop rising, so each sector ends before its first descent and
+    the result is ascending; a ``k_lowest`` past that end raises
+    ``ValueError`` naming the largest valid value.  A descent inside the
+    computed values gives the same end as a descent in the whole sector,
+    and a sector without one supplies ``k_lowest`` values on its own.
     """
     n = grid_size
     if n < 64 or n % 2:
@@ -288,9 +297,11 @@ def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
         raise ValueError(f"k_lowest must be in [1, {n // 2}], got {k_lowest}")
     if parity is not None:
         _check_parity(parity)
+    _check_alpha(alpha)
     points = []
     for p in ("even", "odd") if parity is None else (parity,):
-        full, half = _fd_raw(alpha, m, n, p), _fd_raw(alpha, m, n // 2, p)
+        full = _fd_raw(alpha, m, n, p, k_lowest)
+        half = _fd_raw(alpha, m, n // 2, p, k_lowest)
         k = min(full.size, half.size)
         corr = (full[:k] - half[:k]) / 3.0
         beta = full[:k] + corr
@@ -309,8 +320,9 @@ def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
             for b, c in points[:k_lowest]]
 
 
-def _fd_raw(alpha: float, m: int, n: int, parity: Parity) -> np.ndarray:
-    """Ascending eigenvalues of one mirror sector of the grid of n points.
+def _fd_raw(alpha: float, m: int, n: int, parity: Parity, k: int) -> np.ndarray:
+    """The lowest k eigenvalues, ascending, of one mirror sector of the
+    grid of n points (all of them if the sector has fewer).
 
     An even grid has nodes j h, an odd grid pi/2 + j h, so theta -> pi - theta
     carries either onto itself.  The sector lives on the nodes of the half
@@ -344,7 +356,7 @@ def _fd_raw(alpha: float, m: int, n: int, parity: Parity) -> np.ndarray:
         keep = slice(int(node_ends[0]), len(theta) - int(node_ends[1]))
         diag, off, mass = diag[keep], off[keep], mass[keep]
     s = 1.0 / np.sqrt(mass)
-    return _eigvalsh(_lower_tridiagonal(diag * s * s, off[:-1] * s[:-1] * s[1:]), n, m)
+    return _lowest_eigenvalues(diag * s * s, off[:-1] * s[:-1] * s[1:], k)
 
 
 def _fd_rows(alpha: float, m: int, theta: np.ndarray, h: float):
@@ -356,20 +368,96 @@ def _fd_rows(alpha: float, m: int, theta: np.ndarray, h: float):
     return diag, -wp / h**2, w, wm
 
 
-def _lower_tridiagonal(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """Dense matrix holding diag and the subdiagonal sub, upper triangle zero."""
-    k = len(diag)
-    sym = np.zeros((k, k))
-    sym.flat[::k + 1] = diag
-    sym.flat[k::k + 1] = sub
-    return sym
+def _lowest_eigenvalues(diag: np.ndarray, sub: np.ndarray, k: int) -> np.ndarray:
+    """The min(k, n) lowest eigenvalues, ascending, of the symmetric
+    tridiagonal n x n matrix T with diagonal diag and subdiagonal sub.
+
+    The LDL^T factorization of T - x has as many negative pivots as T has
+    eigenvalues below x (Sylvester's inertia; the Sturm count of Barth,
+    Martin & Wilkinson), so every factorization tightens the bracket of
+    every wanted eigenvalue.  Starting from the Gershgorin interval, each
+    eigenvalue is bisected until it is alone in its bracket, then found
+    by Laguerre's iteration, which for a polynomial with only real roots
+    moves monotonically towards the next root on the chosen side and
+    converges cubically.  A Laguerre step that leaves the bracket or does
+    not halve the previous one is replaced by a bisection, so the search
+    always ends.  Each factorization is one O(n) pass; nothing is n x n.
+    """
+    n, k = len(diag), min(k, len(diag))
+    radius = np.zeros(n)
+    radius[1:] += np.abs(sub)
+    radius[:-1] += np.abs(sub)
+    lower, upper = float(np.min(diag - radius)), float(np.max(diag + radius))
+    # solve for T / 2^e, whose eigenvalues lie in [-1, 1]: the scaling is
+    # exact, and a square that underflows is then far below the tolerance
+    scale = math.ldexp(1.0, math.frexp(max(abs(lower), abs(upper)))[1])
+    lower, upper = lower / scale, upper / scale
+    tol = 4.0 * sys.float_info.epsilon * max(abs(lower), abs(upper))
+    squares = [0.0] + ((sub / scale) ** 2).tolist()
+    rows = list(zip((diag / scale).tolist(), squares))
+    # lo[j]: largest shift seen with at most j eigenvalues below it, and
+    # hi[j] the smallest with more; lo[k] tells when the last one is alone
+    lo = np.full(k + 1, lower - tol)
+    hi = np.full(k, upper + tol)
+    values = np.empty(k)
+    for j in range(k):
+        x, last = 0.5 * float(lo[j] + hi[j]), math.inf
+        while True:
+            below, g, h = _inertia(rows, x)
+            np.maximum(lo[below:], x, out=lo[below:])
+            np.minimum(hi[j:below], x, out=hi[j:below])
+            a, b = float(lo[j]), float(hi[j])
+            mid = 0.5 * (a + b)
+            if b - a <= tol or not a < mid < b:
+                x = mid
+                break
+            step = math.nan
+            if (lo[j + 1] >= b and below in (j, j + 1)
+                    and math.isfinite(g) and math.isfinite(h)):
+                # Laguerre's step from x towards the eigenvalue alone in (a, b)
+                root = math.sqrt(max(0.0, (n - 1) * (n * h - g * g)))
+                towards = root - g if below == j else -root - g
+                step = n / towards if towards else math.nan
+            # the step is also small right next to the neighbour on the
+            # other side; only there does g = sum 1/(x - l) share its sign
+            if abs(step) <= tol and g * step < 0.0:
+                x += step
+                break
+            if a < x + step < b and abs(step) < 0.5 * last:
+                x, last = x + step, abs(step)
+            else:
+                x, last = mid, math.inf
+        values[j] = x
+    return values * scale
 
 
-def _eigvalsh(sym: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Eigenvalues of the symmetric matrix held in the lower triangle of sym."""
-    try:
-        return np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(
-            f"eigensolve failed to converge (grid={n}, m={m}): {exc}"
-        ) from exc
+def _inertia(rows: list[tuple[float, float]], x: float) -> tuple[int, float, float]:
+    """Negative pivots of T - x, and the first two moments sum 1/(x - l) and
+    sum 1/(x - l)^2 over the eigenvalues l of T.
+
+    rows holds (T_ii, T_i,i-1^2), the first square 0, for entries of T at
+    most 1 in magnitude.  Along the pivots d_i = T_ii - x - T_i,i-1^2 / d_i-1
+    runs the recurrence of r_i = d_i'/d_i
+    and f_i = d_i''/d_i (derivatives in x); since det(T - x) is the product
+    of the pivots, the moments are sum r_i and sum r_i^2 - f_i.  A zero
+    pivot becomes the smallest normal float, negated, as in LAPACK's
+    bisection: small enough not to move the count, large enough that the
+    next T_i,i-1^2 / d_i-1 is finite.  The moments are then NaN.
+    """
+    below = 0
+    d, r, f, g, h = 1.0, 0.0, 0.0, 0.0, 0.0
+    for a, b2 in rows:
+        t = b2 / d
+        f = t * (f - 2.0 * r * r)
+        r = t * r - 1.0
+        d = a - x - t
+        if d == 0.0:
+            # the moments have a pole here; NaN sends the caller to bisection
+            d, g = -sys.float_info.min, math.nan
+        if d < 0.0:
+            below += 1
+        r /= d
+        f /= d
+        g += r
+        h += r * r - f
+    return below, g, h

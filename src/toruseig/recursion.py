@@ -317,6 +317,12 @@ def residual(series: CoefficientSeries, alpha: float, mode: ModeSpec,
     Evaluated in the series' stored scale (see CoefficientSeries.log_scale);
     divide by the reconstructed max |psi| for a scale-free figure.
     """
+    return _residual_and_peak(series, alpha, mode, beta)[0]
+
+
+def _residual_and_peak(series: CoefficientSeries, alpha: float, mode: ModeSpec,
+                       beta: float) -> tuple[float, float]:
+    """``residual`` and max |psi| over the same grid, from one reconstruction."""
     _check_alpha(alpha)
     if mode.m != series.m or mode.parity != series.parity:
         raise ValueError("mode does not match the series")
@@ -325,4 +331,4 @@ def residual(series: CoefficientSeries, alpha: float, mode: ModeSpec,
     w = 1.0 + alpha * np.sin(th)
     lhs = (d2psi + alpha * np.cos(th) / w * dpsi
            - mode.m**2 * alpha**2 / w**2 * psi + beta * psi)
-    return float(np.max(np.abs(lhs)))
+    return float(np.max(np.abs(lhs))), float(np.max(np.abs(psi)))

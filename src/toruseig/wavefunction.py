@@ -116,7 +116,9 @@ def overlap(psi1: Eigenfunction, psi2: Eigenfunction, alpha: float) -> float:
     n = max(512, 2 * (psi1.max_harmonic + psi2.max_harmonic) + 8)
     th = np.arange(n) * (2.0 * math.pi / n)
     w = 1.0 + alpha * np.sin(th)
-    vals = evaluate(psi1, th) * evaluate(psi2, th) * w
+    v1 = evaluate(psi1, th)
+    v2 = v1 if psi2 is psi1 else evaluate(psi2, th)
+    vals = v1 * v2 * w
     return float(np.sum(vals) * (2.0 * math.pi / n))
 
 

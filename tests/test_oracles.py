@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruseig import oracles
 from toruseig.oracles import (
@@ -220,9 +222,47 @@ class TestFdSpectrum:
         with pytest.raises(ValueError):
             fd_spectrum(ALPHA, 0, grid_size=256, k_lowest=0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, 1.0, 1.5])
+    def test_alpha_validation(self, alpha):
+        # outside (0, 1) the weight 1 + alpha sin vanishes or turns negative,
+        # and a NaN would never end the Sturm bisection
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            fd_spectrum(alpha, 0, grid_size=64)
+
+    def test_memory_is_linear_in_the_grid(self):
+        # one dense n/2 x n/2 sector alone would take 8 MB at this grid
+        tracemalloc.start()
+        try:
+            fd_spectrum(0.5, 1, grid_size=2048, k_lowest=4, parity="odd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 def _dense_periodic(alpha, m, n, offset=0.0):
     """Lowest-first spectrum of the whole periodic n x n matrix on offset + j h."""
+    return np.linalg.eigvalsh(_periodic_matrix(alpha, m, n, offset))
+
+
+def _dense_sector(alpha, m, n, parity):
+    """Lowest-first spectrum of one mirror sector of the periodic matrix.
+
+    theta -> pi - theta maps node j to n/2 - j (even n, nodes j h) or to -j
+    (odd n, nodes pi/2 + j h); the sector is the matrix restricted to the
+    vectors that the reflection keeps (even) or negates (odd).
+    """
+    sym = _periodic_matrix(alpha, m, n, offset=(n % 2) * math.pi / 2)
+    mirror = (n // 2 * (1 - n % 2) - np.arange(n)) % n
+    sign = 1.0 if parity == "even" else -1.0
+    basis = np.eye(n) + sign * np.eye(n)[mirror]
+    keep = [j for j in range(n) if j <= mirror[j] and np.any(basis[j])]
+    q = basis[keep] / np.linalg.norm(basis[keep], axis=1)[:, None]
+    return np.linalg.eigvalsh(q @ sym @ q.T)
+
+
+def _periodic_matrix(alpha, m, n, offset):
+    """The symmetrized periodic n x n matrix on offset + j h."""
     h = 2.0 * math.pi / n
     theta = offset + np.arange(n) * h
     w = 1.0 + alpha * np.sin(theta)
@@ -235,7 +275,7 @@ def _dense_periodic(alpha, m, n, offset=0.0):
     a[idx, (idx - 1) % n] = -wm / h**2
     s = 1.0 / np.sqrt(w)
     sym = (a * s).T * s
-    return np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    return 0.5 * (sym + sym.T)
 
 
 class TestFdParitySectors:
@@ -244,7 +284,7 @@ class TestFdParitySectors:
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_sectors_partition_dense_spectrum(self, n, alpha, m):
         # an odd grid is mirror-symmetric when placed with a node at pi/2
-        sectors = [oracles._fd_raw(alpha, m, n, p) for p in ("even", "odd")]
+        sectors = [oracles._fd_raw(alpha, m, n, p, n) for p in ("even", "odd")]
         assert sum(len(s) for s in sectors) == n
         merged = np.sort(np.concatenate(sectors))
         dense = _dense_periodic(alpha, m, n, offset=(n % 2) * math.pi / 2)
@@ -295,3 +335,47 @@ class TestFdParitySectors:
         # the extrapolated values, not the full-grid ones
         flat = [p.beta for p in fd_spectrum(1e-3, 0, grid_size=64, k_lowest=32)]
         assert flat == sorted(flat)
+
+    def test_k_lowest_before_first_descent_matches_dense(self):
+        # 13 values end before the even sector's descent at index 14, so the
+        # solve never reaches it; they are still the dense sectors' values
+        full, half = (_dense_sector(0.9, 3, n, "even")[:13] for n in (64, 32))
+        ref = full + (full - half) / 3.0
+        got = [p.beta for p in fd_spectrum(0.9, 3, grid_size=64, k_lowest=13, parity="even")]
+        assert got == pytest.approx(ref.tolist(), abs=1e-9)
+
+
+@st.composite
+def _tridiagonals(draw):
+    """(diag, sub) around a centre, with entries of integers or floats in
+    [-3, 3] times a spread.  Integer entries give exact zero subdiagonals
+    (a split matrix, repeated blocks, multiple eigenvalues) and shifts that
+    land on zero pivots; a spread of 1e-12 gives a tight cluster."""
+    n = draw(st.integers(1, 40))
+    entry = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+    diag = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    sub = np.array(draw(st.lists(entry, min_size=n - 1, max_size=n - 1)))
+    spread = draw(st.sampled_from([1e-6, 1.0, 1e6, 1e-12]))
+    centre = 1.0 if spread == 1e-12 else 0.0
+    return centre + spread * diag, spread * sub
+
+
+class TestLowestEigenvalues:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_tridiagonals(), st.data())
+    def test_matches_dense(self, matrix, data):
+        diag, sub = matrix
+        k = data.draw(st.integers(1, len(diag)))
+        dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(sub, -1) + np.diag(sub, 1))
+        got = oracles._lowest_eigenvalues(diag, sub, k)
+        norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(sub), initial=0.0)
+        assert got.shape == (k,)
+        assert np.max(np.abs(got - dense[:k])) <= 32 * np.finfo(float).eps * norm
+
+    def test_zero_pivot(self):
+        # the first shift is the midpoint 0 of the Gershgorin interval
+        # [-1, 1], where the first pivot vanishes and the moments are NaN
+        below, g, _ = oracles._inertia([(0.0, 0.0), (0.0, 1.0)], 0.0)
+        assert below == 1 and math.isnan(g)
+        got = oracles._lowest_eigenvalues(np.zeros(2), np.ones(1), 2)
+        assert got.tolist() == pytest.approx([-1.0, 1.0], abs=1e-15)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from toruseig import recursion
 from toruseig.recursion import (
     RESCALE_THRESHOLD,
     CoefficientSeries,
@@ -306,3 +307,17 @@ class TestResidual:
         series = propagate(1.0, ModeSpec(0, "even"), ALPHA, 1.0, 10)
         with pytest.raises(ValueError):
             residual(series, ALPHA, ModeSpec(1, "even"), 1.0)
+
+    def test_peak_comes_from_the_same_reconstruction(self, monkeypatch):
+        # the eigensolver's residual and max |psi| on the residual's grid,
+        # bit for bit, from one reconstruction instead of two
+        mode = ModeSpec(0, "even")
+        series = propagate(1.0, mode, ALPHA, BETA_10, 20)
+        grid = recursion._residual_grid(series.order)
+        expected = (residual(series, ALPHA, mode, BETA_10),
+                    float(np.max(np.abs(reconstruct(series, grid)[0]))))
+        calls = []
+        monkeypatch.setattr(recursion, "reconstruct",
+                            lambda *a, **kw: calls.append(a) or reconstruct(*a, **kw))
+        assert recursion._residual_and_peak(series, ALPHA, mode, BETA_10) == expected
+        assert len(calls) == 1

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toruseig import wavefunction
 from toruseig.eigensolver import find_eigenvalues
 from toruseig.recursion import CoefficientSeries, ModeSpec
 from toruseig.wavefunction import (
@@ -154,6 +156,16 @@ class TestOverlap:
                               a=(1.0, 0.0), b=(0.0, 0.0))
         with pytest.raises(ValueError):
             overlap(psi10, other, ALPHA)
+
+    def test_self_overlap_evaluates_once(self, psi10, monkeypatch):
+        # normalize's overlap(psi, psi) evaluates psi once, with the bits
+        # of two evaluations of equal functions
+        expected = overlap(psi10, dataclasses.replace(psi10), ALPHA)
+        calls = []
+        monkeypatch.setattr(wavefunction, "evaluate",
+                            lambda psi, th: calls.append(psi) or evaluate(psi, th))
+        assert overlap(psi10, psi10, ALPHA) == expected
+        assert len(calls) == 1
 
     def test_parseval_identity(self, m0_states):
         for p in m0_states[:3]:
