@@ -1,26 +1,27 @@
 """Eigenvalue extraction from the coefficient recursions.
 
-Two routes, matching how the truncated series can be forced to terminate:
+Both routes truncate the series, d_N = 0 (and d_{N+1} = 0 where five terms
+couple), and solve the rows floor..N-1 that remain, built by ``_stencil``
+from the real rows of ``recursion`` with negative indices folded by parity:
 
-* m = 0: the three-term rows are affine in beta, so the truncation d_N = 0
-  turns rows 0..N-1 into a tridiagonal pencil (A + beta B) d = 0 (Hill's
-  method).  Its eigenvalues are the roots of the last numerator polynomial
-  from ``coefficient_polynomials`` (plus the exact beta = 0 of the even
-  sector's n = 0 row); the same stencil, extended past the truncation,
-  gives each eigenfunction as a null vector.
+* m = 0: the three-term rows are affine in beta, so they form a tridiagonal
+  pencil (A + beta B) d = 0 (Hill's method).  Its eigenvalues are the roots
+  of the last numerator polynomial from ``coefficient_polynomials`` (plus
+  the exact beta = 0 of the even sector's n = 0 row); the same stencil,
+  extended past the truncation, gives each eigenfunction as a null vector.
 
-* any m: two free seeds give two independent series A and B.  A valid
-  eigenfunction needs some combination with a vanishing tail, which happens
-  exactly where the normalized 2x2 determinant of (d_N, d_{N+1}) for the two
-  series crosses zero.  Scanning in beta brackets the crossings; bisection
-  refines them; the null vector recovers the mixing (A, B).
+* any m: the five-term rows are singular exactly where the normalized 2x2
+  determinant of (d_N, d_{N+1}) for two marched series crosses zero.
+  Scanning in beta brackets the crossings and bisection refines them.  Each
+  eigenfunction is the null vector of the truncated rows at the root: the
+  minimal solution of the recursion (Gautschi, SIAM Rev. 9 (1967) 24),
+  which forward marching cannot give, as the dominant solution swamps it.
 
-The marching denominators vanish on beta = k(k+1), k >= 1.  A crossing of
-the normalized determinant at such a pole is an artifact of the truncation,
-not an eigenvalue; candidates are screened by the equation residual of the
-assembled eigenfunction, which separates genuine states (residual ~ 1e-3 or
-better at order 10) from pole artifacts (residual ~ 1e+2) by several orders
-of magnitude.
+The marching denominators vanish on beta = k(k+1) (k >= 1 even, k >= 2
+odd), where the determinant changes sign without a root.  The scan steps
+over each pole, evaluating k(k+1) +/- POLE_GAP and never bracketing that
+interval, so every root it finds is a state: none is screened or dropped,
+and the N versus N+2 estimate tells whether it has converged.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .recursion import (
     ModeSpec,
     Parity,
     _check_alpha,
+    _d_row_five,
     _d_row_three,
     _residual_and_peak,
     march_five_safe,
@@ -44,12 +46,8 @@ from .recursion import (
 DEFAULT_SEEDS = ((1.0, 1.0), (1.0, -1.0))
 REFINE_TOL = 1e-10
 DUPLICATE_TOL = 1e-9
-# residual ceiling near a marching pole vs. the absolute runaway ceiling;
-# genuine roots stay below ~11 even at order 2, pole artifacts at k(k+1)
-# bisect to the pole within 1e-10 and carry residuals upward of 15
-SPURIOUS_RESIDUAL_REL = 0.5
-RUNAWAY_RESIDUAL_REL = 1e3
-POLE_TOL = 1e-6
+# half-width of the interval the scan steps over at each marching pole
+POLE_GAP = 1e-6
 
 __all__ = [
     "BetaPolynomial",
@@ -64,22 +62,6 @@ __all__ = [
     "find_eigenvalues",
     "DEFAULT_SEEDS",
 ]
-
-
-def _pole_distance(beta: float) -> float:
-    """Distance to the nearest marching pole k(k+1), k >= 1."""
-    best = math.inf
-    k = 1
-    while k * (k + 1) <= beta + 3.0:
-        best = min(best, abs(beta - k * (k + 1)))
-        k += 1
-    return best
-
-
-def _is_spurious(beta: float, residual_rel: float) -> bool:
-    if residual_rel > RUNAWAY_RESIDUAL_REL:
-        return True
-    return _pole_distance(beta) < POLE_TOL and residual_rel > SPURIOUS_RESIDUAL_REL
 
 
 @dataclass(frozen=True)
@@ -275,49 +257,28 @@ def roots_warm_started(polys: Sequence[BetaPolynomial]) -> WarmStartResult:
     )
 
 
-def _tail_matrix(alpha: float, mode: ModeSpec, beta: float, order: int, seeds):
-    (sa, sb) = seeds
-    da, la = march_five_safe(alpha, mode.m, beta, mode.parity, order + 1, tuple(sa))
-    db, lb = march_five_safe(alpha, mode.m, beta, mode.parity, order + 1, tuple(sb))
-    m = np.array([[da[order], db[order]], [da[order + 1], db[order + 1]]])
-    return m, (da, la), (db, lb)
-
-
 def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
                 seeds=DEFAULT_SEEDS) -> float:
     """Normalized tail determinant det[(d_N, d_{N+1}) x (A, B)].
 
     Dividing by the product of column magnitudes makes the value scale-free
     in (-1, 1): rescaling either seed leaves it unchanged, and its zero set
-    is independent of the seed basis.  Both columns vanishing signals a
-    spurious beta; 0.0 is returned and the residual screen downstream
-    rejects the candidate.
+    is independent of the seed basis.  If either column vanishes, 0.0 is
+    returned.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     (a0, a1), (b0, b1) = seeds
     if a0 * b1 - a1 * b0 == 0.0:
         raise ValueError(f"seed matrix {seeds} is singular")
-    m, _, _ = _tail_matrix(alpha, mode, beta, order, seeds)
+    da, _ = march_five_safe(alpha, mode.m, beta, mode.parity, order + 1, (a0, a1))
+    db, _ = march_five_safe(alpha, mode.m, beta, mode.parity, order + 1, (b0, b1))
+    m = np.array([[da[order], db[order]], [da[order + 1], db[order + 1]]])
     na = math.hypot(m[0, 0], m[1, 0])
     nb = math.hypot(m[0, 1], m[1, 1])
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float((m[0, 0] * m[1, 1] - m[1, 0] * m[0, 1]) / (na * nb))
-
-
-def _null_mixing(m: np.ndarray) -> tuple[float, float]:
-    """Null vector of a near-singular 2x2, from its larger row."""
-    p, q = float(m[0, 0]), float(m[0, 1])
-    r, s = float(m[1, 0]), float(m[1, 1])
-    if p * p + q * q >= r * r + s * s:
-        v = (-q, p)
-    else:
-        v = (-s, r)
-    n = math.hypot(*v)
-    if n == 0.0:
-        return (1.0, 0.0)
-    return (v[0] / n, v[1] / n)
 
 
 @dataclass(frozen=True)
@@ -335,7 +296,6 @@ class Eigenpair:
     beta: float
     mode: ModeSpec
     series: CoefficientSeries
-    mixing: tuple[float, float] | None
     trivial: bool
     diagnostics: EigenDiagnostics
 
@@ -345,25 +305,6 @@ def _series_quality(series: CoefficientSeries, alpha: float, mode: ModeSpec,
     res, psi_max = _residual_and_peak(series, alpha, mode, beta)
     rel = res / psi_max if psi_max > 0 else math.inf
     return res, rel
-
-
-def _combined_series(alpha: float, mode: ModeSpec, beta: float, order: int,
-                     seeds=DEFAULT_SEEDS):
-    m, (da, la), (db, lb) = _tail_matrix(alpha, mode, beta, order, seeds)
-    na = max(math.hypot(m[0, 0], m[1, 0]), 1e-300)
-    nb = max(math.hypot(m[0, 1], m[1, 1]), 1e-300)
-    mixing = _null_mixing(m / np.array([na, nb]))
-    # undo the per-column normalization and any rescale exponent
-    lmax = max(la, lb)
-    wa = mixing[0] / na * math.exp(la - lmax)
-    wb = mixing[1] / nb * math.exp(lb - lmax)
-    d = [wa * x + wb * y for x, y in zip(da[: order + 1], db[: order + 1])]
-    peak = max(abs(x) for x in d)
-    if peak > 0:
-        d = [x / peak for x in d]
-    series = CoefficientSeries(order=order, m=mode.m, parity=mode.parity,
-                               d=tuple(d), log_scale=0.0)
-    return series, (float(mixing[0]), float(mixing[1]))
 
 
 def _bisect_determinant(alpha: float, mode: ModeSpec, lo: float, hi: float,
@@ -396,34 +337,37 @@ def _trivial_eigenpair(alpha: float, order: int) -> Eigenpair:
     diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
                             beta_by_order={order: 0.0, order + 2: 0.0},
                             convergence_estimate=0.0, spurious=False)
-    return Eigenpair(beta=0.0, mode=mode, series=series, mixing=None,
-                     trivial=True, diagnostics=diag)
+    return Eigenpair(beta=0.0, mode=mode, series=series, trivial=True,
+                     diagnostics=diag)
 
 
-def _m0_stencil(alpha: float, beta: float, parity: Parity, top: int) -> np.ndarray:
-    """Three-term rows floor..top over the columns d_floor..d_{top+1}.
+def _stencil(row, parity: Parity, top: int, columns: int) -> np.ndarray:
+    """Rows floor..top of a recursion over the columns d_floor..d_{columns-1}.
 
-    floor is 0 (even) or 1 (odd, where d_0 = 0).  The even n = 0 row folds
-    d_{-1} = d_1 into the d_1 column.
+    floor is 0 (even) or 1 (odd, where d_0 = 0).  ``row(n)`` returns the
+    coefficients of d_{n-h}..d_{n+h}; a negative index folds onto its
+    mirror by parity, d_{-k} = +/- d_k, and a column at or past ``columns``
+    is dropped, as the truncation sets it to zero.
     """
     floor = 0 if parity == "even" else 1
-    size = top - floor + 1
-    s = np.zeros((size, size + 1))
+    sign = 1.0 if parity == "even" else -1.0
+    s = np.zeros((top - floor + 1, columns - floor))
     for i, n in enumerate(range(floor, top + 1)):
-        tm, t0, tp = _d_row_three(n, alpha, beta)
-        s[i, i] = t0
-        s[i, i + 1] += tp
-        if i > 0:
-            s[i, i - 1] = tm
-        elif parity == "even":
-            s[i, i + 1] += tm
+        coeffs = row(n)
+        h = len(coeffs) // 2
+        for j, c in enumerate(coeffs):
+            k = n + j - h
+            if k < 0:
+                k, c = -k, sign * c
+            if floor <= k < columns:
+                s[i, k - floor] += c
     return s
 
 
 def _m0_pencil_eigvals(alpha: float, parity: Parity, order: int) -> np.ndarray:
     """Eigenvalues of the pencil A + beta B from rows floor..order-1, d_order = 0."""
-    a = _m0_stencil(alpha, 0.0, parity, order - 1)[:, :-1]
-    b = _m0_stencil(alpha, 1.0, parity, order - 1)[:, :-1] - a
+    a = _stencil(lambda n: _d_row_three(n, alpha, 0.0), parity, order - 1, order)
+    b = _stencil(lambda n: _d_row_three(n, alpha, 1.0), parity, order - 1, order) - a
     return np.linalg.eigvals(np.linalg.solve(b, -a))
 
 
@@ -436,13 +380,37 @@ def _m0_series(alpha: float, mode: ModeSpec, beta: float, order: int) -> Coeffic
     (forward marching amplifies rounding by ~2/alpha per step).  It is
     normalized to the low-order seed, as forward marching would be.
     """
-    s = _m0_stencil(alpha, beta, mode.parity, order + 8)[1:, :-1]
+    s = _stencil(lambda n: _d_row_three(n, alpha, beta), mode.parity,
+                 order + 8, order + 9)[1:]
     d = np.append(np.linalg.solve(s[:, :-1], -s[:, -1]), 1.0)
     head = d[0] if d[0] != 0.0 else d[np.argmax(np.abs(d))]
     floor = 0 if mode.parity == "even" else 1
     vals = np.concatenate((np.zeros(floor), d / head))[: order + 1]
     return CoefficientSeries(order=order, m=0, parity=mode.parity,
                              d=tuple(float(x) for x in vals), log_scale=0.0)
+
+
+def _truncated_series(alpha: float, mode: ModeSpec, beta: float,
+                      order: int) -> CoefficientSeries:
+    """Eigenfunction coefficients at a root of the five-term truncation.
+
+    The null vector (smallest right singular vector) of the five-term rows
+    floor..order-1 with d_order = d_{order+1} = 0, scaled to max |d| = 1
+    with d_floor >= 0.
+    """
+    s = _stencil(lambda n: _d_row_five(n, alpha, mode.m, beta), mode.parity,
+                 order - 1, order)
+    v = np.linalg.svd(s)[2][-1]
+    v = v / (math.copysign(1.0, v[0]) * np.max(np.abs(v)))
+    floor = 0 if mode.parity == "even" else 1
+    vals = np.concatenate((np.zeros(floor), v, [0.0]))
+    return CoefficientSeries(order=order, m=mode.m, parity=mode.parity,
+                             d=tuple(float(x) for x in vals), log_scale=0.0)
+
+
+def _poles(parity: Parity, top: int) -> list[int]:
+    """Marching poles k(k+1), k = 1 (even) or 2 (odd) up to top."""
+    return [k * (k + 1) for k in range(1 if parity == "even" else 2, top + 1)]
 
 
 def _find_m0(alpha: float, mode: ModeSpec, order: int,
@@ -471,8 +439,8 @@ def _find_m0(alpha: float, mode: ModeSpec, order: int,
         diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
                                 beta_by_order={order: beta, order + 2: b2},
                                 convergence_estimate=estimate, spurious=spurious)
-        pair = Eigenpair(beta=beta, mode=mode, series=series, mixing=None,
-                         trivial=False, diagnostics=diag)
+        pair = Eigenpair(beta=beta, mode=mode, series=series, trivial=False,
+                         diagnostics=diag)
         (rejected if spurious else accepted).append(pair)
     return accepted, rejected
 
@@ -483,43 +451,47 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
 
     Works for any m (the m = 0 sectors also close under the five-term rows),
     which is how truncation columns of the reference eigenvalue tables are
-    recomputed.  Returns (accepted, rejected): candidates whose assembled
-    eigenfunction fails the residual screen are pole artifacts of the
-    truncated recursion, reported on the rejected list rather than dropped.
+    recomputed.  The grid runs from beta = 0 in steps of scan_step and steps
+    over every marching pole k(k+1) of orders N and N+2: it evaluates
+    k(k+1) +/- POLE_GAP and never brackets that interval, and the N+2 search
+    window is clipped at the same poles.  Every root found is accepted, with
+    the truncated null vector as its eigenfunction; its convergence estimate
+    says whether it has converged.  Returns (accepted, rejected), with
+    nothing rejected.
     """
-    npts = int(math.floor(beta_max / scan_step))
-    grid = [scan_step * k for k in range(1, npts + 1)]
+    poles = _poles(mode.parity, order + 2)
+    steps = [scan_step * k for k in range(int(math.floor(beta_max / scan_step)) + 1)]
+    grid = sorted([b for b in steps if all(abs(b - p) > POLE_GAP for p in poles)]
+                  + [b for p in poles for b in (p - POLE_GAP, p + POLE_GAP)
+                     if b <= beta_max])
     vals = [determinant(alpha, mode, b, order) for b in grid]
     accepted: list[Eigenpair] = []
-    rejected: list[Eigenpair] = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0 or not (math.isfinite(vals[i]) and math.isfinite(vals[i + 1])):
             continue
         if math.copysign(1.0, vals[i]) == math.copysign(1.0, vals[i + 1]):
             continue
+        if any(grid[i] < p < grid[i + 1] for p in poles):
+            continue  # a sign change across a pole, not a root
         beta = _bisect_determinant(alpha, mode, grid[i], grid[i + 1], order)
         if beta is None:
             continue
-        series, mixing = _combined_series(alpha, mode, beta, order)
+        series = _truncated_series(alpha, mode, beta, order)
         res, rel = _series_quality(series, alpha, mode, beta)
-        spurious = _is_spurious(beta, rel)
+        lo2 = max([0.0, beta - 2 * scan_step] + [p + POLE_GAP for p in poles if p < beta])
+        hi2 = min([beta + 2 * scan_step] + [p - POLE_GAP for p in poles if p > beta])
+        b2 = _bisect_determinant(alpha, mode, lo2, hi2, order + 2)
         beta_by_order = {order: beta}
         estimate = None
-        if not spurious:
-            lo2 = max(scan_step / 2, beta - 2 * scan_step)
-            b2 = _bisect_determinant(alpha, mode, lo2, beta + 2 * scan_step, order + 2)
-            if b2 is not None:
-                beta_by_order[order + 2] = b2
-                estimate = abs(beta - b2) * (1.0 + 1e-9) + 1e-14
+        if b2 is not None:
+            beta_by_order[order + 2] = b2
+            estimate = abs(beta - b2) * (1.0 + 1e-9) + 1e-14
         diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
                                 beta_by_order=beta_by_order,
-                                convergence_estimate=estimate,
-                                spurious=spurious)
-        pair = Eigenpair(beta=beta, mode=mode, series=series, mixing=mixing,
-                         trivial=False, diagnostics=diag)
-        (rejected if spurious else accepted).append(pair)
-    accepted.sort(key=lambda p: p.beta)
-    return accepted, rejected
+                                convergence_estimate=estimate, spurious=False)
+        accepted.append(Eigenpair(beta=beta, mode=mode, series=series,
+                                  trivial=False, diagnostics=diag))
+    return accepted, []
 
 
 def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
@@ -529,12 +501,14 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
 
     m = 0 solves the truncated tridiagonal pencil of its three-term rows
     (one free seed, so tail-vanishing is a root condition on one
-    polynomial, the pencil's characteristic polynomial); m != 0 scans the normalized determinant
-    and bisects each sign change to 1e-10.  Results are sorted ascending.
-    The exact constant mode at beta = 0 (m = 0, even) is included flagged
-    ``trivial``.  Pole artifacts and failed refinements carry flags in their
-    diagnostics; flagged-spurious candidates are dropped from the primary
-    list (pass return_rejected=True to inspect them).
+    polynomial, the pencil's characteristic polynomial); m != 0 scans the
+    normalized determinant, stepping over its marching poles, and bisects
+    each sign change to 1e-10.  Every eigenfunction is the null vector of
+    the truncated rows.  Results are sorted ascending.  The exact constant
+    mode at beta = 0 (m = 0, even) is included flagged ``trivial``.  No
+    root is dropped: ``diagnostics.convergence_estimate`` (orders N and
+    N+2) tells whether it has converged.  The only rejected candidates are
+    non-real m = 0 pencil roots (pass return_rejected=True to inspect them).
     """
     _check_alpha(alpha)
     if order < 1:

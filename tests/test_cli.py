@@ -117,6 +117,16 @@ class TestSpectrumCommand:
                           "--order", "80")
         assert code == 0
 
+    def test_m1_order_40_lists_its_states(self, tmp_path):
+        code, text = run_cli(tmp_path, "spectrum", "--alpha", "0.5", "--m", "1",
+                             "--order", "40")
+        assert code == 0
+        counts = {"even": 5, "odd": 4}  # states below the default beta_max 25
+        for rec in json.loads(text)["records"]:
+            states = rec["eigenvalues"]
+            assert len(states) == counts[rec["parity"]]
+            assert all(ev["converged"] for ev in states)
+
 
 class TestWavefnCommand:
     def test_trivial_state_export(self, tmp_path):
@@ -195,6 +205,14 @@ class TestCompareCommand:
         payload = json.loads(text)
         assert payload["beta"]["rk"] == 0.0
         assert payload["pass"] is True
+
+    def test_ground_state_below_the_scan_step(self, tmp_path):
+        # alpha = 0.1, m = 1: the even ground state lies at beta ~ 0.0100
+        code, text = run_cli(tmp_path, "compare", "--alpha", "0.1", "--m", "1",
+                             "--state", "1", "--methods", "fourier,rk,fd")
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["beta"]["fourier"] == pytest.approx(0.010048345, abs=1e-8)
 
     def test_fd_takes_same_parity_and_state(self, tmp_path):
         code, text = run_cli(tmp_path, "compare", "--m", "1", "--parity", "odd",

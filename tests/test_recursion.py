@@ -112,11 +112,13 @@ class TestFiveTermRow:
                 assert relative_dot(_d_row_five(n, ALPHA, m, 0.9), series, n) < 1e-12
 
     def test_tail_decays_at_eigenvalue(self):
-        # at a converged eigenvalue the truncation is self-consistent
-        from toruseig.eigensolver import _combined_series
+        # at a converged eigenvalue the truncation is self-consistent: the
+        # null vector of the truncated rows decays into d_N = 0
+        from toruseig.eigensolver import _truncated_series
 
-        series, _ = _combined_series(ALPHA, ModeSpec(1, "even"), 0.2493680570, 10)
-        assert abs(series.d[10]) / series.max_abs() < 1e-4
+        series = _truncated_series(ALPHA, ModeSpec(1, "even"), 0.2493680570, 10)
+        assert series.d[10] == 0.0
+        assert abs(series.d[9]) / series.max_abs() < 1e-4
 
 
 PROJECTION_ORDER = 12
