@@ -93,13 +93,11 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _pair_record(pair: eigensolver.Eigenpair) -> dict:
-    est = pair.diagnostics.convergence_estimate
-    converged = pair.trivial or (est is not None and est < 1e-6)
     return {
         "beta": pair.beta,
         "trivial": pair.trivial,
         "residual": pair.diagnostics.residual,
-        "converged": converged,
+        "converged": pair.converged,
     }
 
 
@@ -287,8 +285,15 @@ def cmd_compare(args) -> int:
         sys.stderr.write(f"error: no state {args.state} for m={args.m}\n")
         return 1
     betas: dict[str, float] = {}
+    payload = {"alpha": args.alpha, "m": args.m, "parity": args.parity,
+               "state": args.state, "beta": betas}
+    ok = True
     if "fourier" in methods:
         betas["fourier"] = pair.beta
+        payload["convergence"] = {"estimate": pair.diagnostics.convergence_estimate,
+                                  "tolerance": eigensolver.CONVERGED_TOL,
+                                  "pass": pair.converged}
+        ok = pair.converged
     # position of the state in its sector, counting the trivial state
     index = next(i for i, p in enumerate(states) if p is pair)
     cfg = oracles.OracleConfig(rk_step_count=args.rk_steps)
@@ -300,7 +305,6 @@ def cmd_compare(args) -> int:
                                        k_lowest=index + 1, parity=args.parity)
         betas["fd"] = spectrum[index].beta
     diffs = {}
-    ok = True
     names = sorted(betas)
     for i, x in enumerate(names):
         for y in names[i + 1:]:
@@ -308,8 +312,7 @@ def cmd_compare(args) -> int:
             tol = FD_TOL if "fd" in (x, y) else FOURIER_RK_TOL
             diffs[f"{x}-{y}"] = {"abs_diff": d, "tolerance": tol, "pass": d <= tol}
             ok = ok and d <= tol
-    payload = {"alpha": args.alpha, "m": args.m, "parity": args.parity,
-               "state": args.state, "beta": betas, "pairwise": diffs}
+    payload["pairwise"] = diffs
     if "fourier" in methods and "rk" in methods:
         psi = from_series(pair.series, pair.beta, pair.mode)
         thetas = [2.0 * math.pi * j / 24 for j in range(24)]

@@ -21,7 +21,7 @@ The marching denominators vanish on beta = k(k+1) (k >= 1 even, k >= 2
 odd), where the determinant changes sign without a root.  The scan steps
 over each pole, evaluating k(k+1) +/- POLE_GAP and never bracketing that
 interval, so every root it finds is a state: none is screened or dropped,
-and the N versus N+2 estimate tells whether it has converged.
+and ``Eigenpair.converged`` says whether it has stopped moving with N.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ REFINE_TOL = 1e-10
 DUPLICATE_TOL = 1e-9
 # half-width of the interval the scan steps over at each marching pole
 POLE_GAP = 1e-6
+# a root has converged once it moves by less than this from order N to N+2
+CONVERGED_TOL = 1e-6
 
 __all__ = [
     "BetaPolynomial",
@@ -61,6 +63,7 @@ __all__ = [
     "determinant_scan",
     "find_eigenvalues",
     "DEFAULT_SEEDS",
+    "CONVERGED_TOL",
 ]
 
 
@@ -283,12 +286,10 @@ def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
 
 @dataclass(frozen=True)
 class EigenDiagnostics:
-    order: int
     residual: float
     residual_rel: float
     beta_by_order: dict[int, float] = field(hash=False)
     convergence_estimate: float | None
-    spurious: bool
 
 
 @dataclass(frozen=True)
@@ -299,18 +300,31 @@ class Eigenpair:
     trivial: bool
     diagnostics: EigenDiagnostics
 
+    @property
+    def converged(self) -> bool:
+        """The trivial state, or an N versus N+2 estimate below CONVERGED_TOL."""
+        est = self.diagnostics.convergence_estimate
+        return self.trivial or (est is not None and est < CONVERGED_TOL)
 
-def _series_quality(series: CoefficientSeries, alpha: float, mode: ModeSpec,
-                    beta: float) -> tuple[float, float]:
+
+def _eigenpair(alpha: float, mode: ModeSpec, series: CoefficientSeries,
+               beta: float, beta_n2: float | None, trivial: bool = False) -> Eigenpair:
+    """The state at ``beta`` with its residual and its N versus N+2 estimate
+    (None where the order N+2 solve found no root)."""
     res, psi_max = _residual_and_peak(series, alpha, mode, beta)
-    rel = res / psi_max if psi_max > 0 else math.inf
-    return res, rel
+    beta_by_order = {series.order: beta}
+    estimate = None
+    if beta_n2 is not None:
+        beta_by_order[series.order + 2] = beta_n2
+        estimate = abs(beta - beta_n2) * (1.0 + 1e-9) + 1e-14
+    diag = EigenDiagnostics(res, res / psi_max if psi_max > 0 else math.inf,
+                            beta_by_order, estimate)
+    return Eigenpair(beta, mode, series, trivial, diag)
 
 
-def _bisect_determinant(alpha: float, mode: ModeSpec, lo: float, hi: float,
-                        order: int, seeds=DEFAULT_SEEDS) -> float | None:
-    flo = determinant(alpha, mode, lo, order, seeds)
-    fhi = determinant(alpha, mode, hi, order, seeds)
+def _bisect_determinant(alpha: float, mode: ModeSpec, order: int, lo: float,
+                        hi: float, flo: float, fhi: float) -> float | None:
+    """Refine a root of ``determinant`` in [lo, hi], given its values there."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -319,7 +333,7 @@ def _bisect_determinant(alpha: float, mode: ModeSpec, lo: float, hi: float,
         return None
     while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        fm = determinant(alpha, mode, mid, order, seeds)
+        fm = determinant(alpha, mode, mid, order)
         if fm == 0.0:
             return mid
         if math.copysign(1.0, fm) == math.copysign(1.0, flo):
@@ -330,15 +344,9 @@ def _bisect_determinant(alpha: float, mode: ModeSpec, lo: float, hi: float,
 
 
 def _trivial_eigenpair(alpha: float, order: int) -> Eigenpair:
-    mode = ModeSpec(0, "even")
     d = (1.0,) + (0.0,) * order
     series = CoefficientSeries(order=order, m=0, parity="even", d=d)
-    res, rel = _series_quality(series, alpha, mode, 0.0)
-    diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
-                            beta_by_order={order: 0.0, order + 2: 0.0},
-                            convergence_estimate=0.0, spurious=False)
-    return Eigenpair(beta=0.0, mode=mode, series=series, trivial=True,
-                     diagnostics=diag)
+    return _eigenpair(alpha, ModeSpec(0, "even"), series, 0.0, 0.0, trivial=True)
 
 
 def _stencil(row, parity: Parity, top: int, columns: int) -> np.ndarray:
@@ -414,7 +422,7 @@ def _poles(parity: Parity, top: int) -> list[int]:
 
 
 def _find_m0(alpha: float, mode: ModeSpec, order: int,
-             beta_max: float) -> tuple[list[Eigenpair], list[Eigenpair]]:
+             beta_max: float) -> list[Eigenpair]:
     roots = np.sort(_m0_pencil_eigvals(alpha, mode.parity, order))
     if mode.parity == "even":
         # the n = 0 row carries an overall factor beta: its root is the
@@ -422,27 +430,19 @@ def _find_m0(alpha: float, mode: ModeSpec, order: int,
         roots = np.delete(roots, np.argmin(np.abs(roots)))
     roots_n2 = _m0_pencil_eigvals(alpha, mode.parity, order + 2)
     roots_n2 = roots_n2[roots_n2.imag == 0.0].real
-    accepted: list[Eigenpair] = []
-    rejected: list[Eigenpair] = []
-    if mode.parity == "even":
-        accepted.append(_trivial_eigenpair(alpha, order))
+    pairs = [_trivial_eigenpair(alpha, order)] if mode.parity == "even" else []
     for root in roots:
         beta = float(root.real)
         if beta < 0.0 or beta > beta_max:
             continue
-        series = _m0_series(alpha, mode, beta, order)
-        res, rel = _series_quality(series, alpha, mode, beta)
+        if root.imag != 0.0:
+            raise ArithmeticError(
+                f"non-real pencil root {complex(root):.9g} in m=0 {mode.parity} "
+                f"at order {order}")
         b2 = float(roots_n2[np.argmin(np.abs(roots_n2 - beta))])
-        estimate = abs(beta - b2) * (1.0 + 1e-9) + 1e-14
-        # the pencil has no marching poles: only a non-real root is spurious
-        spurious = root.imag != 0.0
-        diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
-                                beta_by_order={order: beta, order + 2: b2},
-                                convergence_estimate=estimate, spurious=spurious)
-        pair = Eigenpair(beta=beta, mode=mode, series=series, trivial=False,
-                         diagnostics=diag)
-        (rejected if spurious else accepted).append(pair)
-    return accepted, rejected
+        pairs.append(_eigenpair(alpha, mode, _m0_series(alpha, mode, beta, order),
+                                beta, b2))
+    return pairs
 
 
 def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
@@ -455,9 +455,8 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
     over every marching pole k(k+1) of orders N and N+2: it evaluates
     k(k+1) +/- POLE_GAP and never brackets that interval, and the N+2 search
     window is clipped at the same poles.  Every root found is accepted, with
-    the truncated null vector as its eigenfunction; its convergence estimate
-    says whether it has converged.  Returns (accepted, rejected), with
-    nothing rejected.
+    the truncated null vector as its eigenfunction, and ``converged`` says
+    whether it has converged.  Returns (accepted, []): nothing is rejected.
     """
     poles = _poles(mode.parity, order + 2)
     steps = [scan_step * k for k in range(int(math.floor(beta_max / scan_step)) + 1)]
@@ -473,30 +472,22 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
             continue
         if any(grid[i] < p < grid[i + 1] for p in poles):
             continue  # a sign change across a pole, not a root
-        beta = _bisect_determinant(alpha, mode, grid[i], grid[i + 1], order)
+        beta = _bisect_determinant(alpha, mode, order, grid[i], grid[i + 1],
+                                   vals[i], vals[i + 1])
         if beta is None:
             continue
-        series = _truncated_series(alpha, mode, beta, order)
-        res, rel = _series_quality(series, alpha, mode, beta)
         lo2 = max([0.0, beta - 2 * scan_step] + [p + POLE_GAP for p in poles if p < beta])
         hi2 = min([beta + 2 * scan_step] + [p - POLE_GAP for p in poles if p > beta])
-        b2 = _bisect_determinant(alpha, mode, lo2, hi2, order + 2)
-        beta_by_order = {order: beta}
-        estimate = None
-        if b2 is not None:
-            beta_by_order[order + 2] = b2
-            estimate = abs(beta - b2) * (1.0 + 1e-9) + 1e-14
-        diag = EigenDiagnostics(order=order, residual=res, residual_rel=rel,
-                                beta_by_order=beta_by_order,
-                                convergence_estimate=estimate, spurious=False)
-        accepted.append(Eigenpair(beta=beta, mode=mode, series=series,
-                                  trivial=False, diagnostics=diag))
+        b2 = _bisect_determinant(alpha, mode, order + 2, lo2, hi2,
+                                 determinant(alpha, mode, lo2, order + 2),
+                                 determinant(alpha, mode, hi2, order + 2))
+        accepted.append(_eigenpair(alpha, mode,
+                                   _truncated_series(alpha, mode, beta, order), beta, b2))
     return accepted, []
 
 
 def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
-                     beta_max: float = 25.0, scan_step: float = 0.02,
-                     return_rejected: bool = False):
+                     beta_max: float = 25.0, scan_step: float = 0.02) -> list[Eigenpair]:
     """All eigenvalues of one (m, parity) sector up to beta_max.
 
     m = 0 solves the truncated tridiagonal pencil of its three-term rows
@@ -506,9 +497,9 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
     each sign change to 1e-10.  Every eigenfunction is the null vector of
     the truncated rows.  Results are sorted ascending.  The exact constant
     mode at beta = 0 (m = 0, even) is included flagged ``trivial``.  No
-    root is dropped: ``diagnostics.convergence_estimate`` (orders N and
-    N+2) tells whether it has converged.  The only rejected candidates are
-    non-real m = 0 pencil roots (pass return_rejected=True to inspect them).
+    root is dropped: ``Eigenpair.converged`` is the verdict, from the
+    order N versus N+2 estimate in ``diagnostics.convergence_estimate``.
+    A non-real m = 0 pencil root in [0, beta_max] raises ``ArithmeticError``.
     """
     _check_alpha(alpha)
     if order < 1:
@@ -518,10 +509,5 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
     if scan_step <= 0:
         raise ValueError(f"scan_step must be positive, got {scan_step}")
     if mode.m == 0:
-        accepted, rejected = _find_m0(alpha, mode, order, beta_max)
-        accepted.sort(key=lambda p: p.beta)
-    else:
-        accepted, rejected = determinant_scan(alpha, mode, order, beta_max, scan_step)
-    if return_rejected:
-        return accepted, rejected
-    return accepted
+        return _find_m0(alpha, mode, order, beta_max)
+    return determinant_scan(alpha, mode, order, beta_max, scan_step)[0]

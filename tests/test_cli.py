@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from toruseig import eigensolver
 from toruseig.cli import (
     build_parser,
     golden_tables,
@@ -45,6 +47,15 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "available" in err and "trivial" in err
+
+    def test_non_real_pencil_root_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        pencil = eigensolver._m0_pencil_eigvals
+        monkeypatch.setattr(eigensolver, "_m0_pencil_eigvals",
+                            lambda alpha, parity, order:
+                            np.append(pencil(alpha, parity, order), 3.0 + 0.5j))
+        code, _ = run_cli(tmp_path, "spectrum", "--m", "0", "--beta-max", "10")
+        assert code == 1
+        assert "non-real" in capsys.readouterr().err
 
     def test_bad_alpha_is_exit_1(self, tmp_path):
         code, _ = run_cli(tmp_path, "spectrum", "--alpha", "1.5", "--m", "0",
@@ -184,6 +195,22 @@ class TestCompareCommand:
         assert payload["pairwise"]["fourier-rk"]["abs_diff"] < 5e-6
         assert payload["pairwise"]["fd-fourier"]["abs_diff"] < 1e-4
         assert payload["eigenfunction"]["pass"] is True
+        assert payload["convergence"]["pass"] is True
+
+    @pytest.mark.parametrize("order,code", [("10", 1), ("12", 0)])
+    def test_unconverged_fourier_value_fails_on_its_own_verdict(self, tmp_path,
+                                                               order, code):
+        # at order 10 this state still moves by 9.0e-6 from order 10 to 12
+        got, text = run_cli(tmp_path, "compare", "--methods", "fourier,rk,fd",
+                            "--alpha", "0.725", "--m", "0", "--parity", "odd",
+                            "--state", "3", "--order", order,
+                            "--beta-max", "9.602748")
+        assert got == code
+        block = json.loads(text)["convergence"]
+        assert block["tolerance"] == 1e-6
+        assert block["pass"] is (code == 0)
+        if code:
+            assert block["estimate"] == pytest.approx(9.0e-6, abs=0.1e-6)
 
     def test_fd_matches_high_state_of_one_parity(self, tmp_path):
         # state 8 of the even sector lies past the 12 lowest merged FD states

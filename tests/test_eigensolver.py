@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toruseig import eigensolver
 from toruseig.eigensolver import (
     POLE_GAP,
     coefficient_polynomials,
@@ -145,7 +148,10 @@ class TestDeterminant:
 
         polys = coefficient_polynomials(ALPHA, "even", 16)
         poly_root = min(companion_roots(polys[-1]))
-        det_root = _bisect_determinant(ALPHA, ModeSpec(0, "even"), 1.0, 1.3, 16)
+        mode = ModeSpec(0, "even")
+        det_root = _bisect_determinant(ALPHA, mode, 16, 1.0, 1.3,
+                                       determinant(ALPHA, mode, 1.0, 16),
+                                       determinant(ALPHA, mode, 1.3, 16))
         assert abs(poly_root - det_root) < 1e-9
 
     def test_order_validation(self):
@@ -170,14 +176,12 @@ class TestFindEigenvalues:
         assert [p.beta for p in pairs] == pytest.approx(TABLE_M1_N10, abs=5e-6)
 
     def test_m5_sorted_and_artifact_free(self):
-        pairs, rejected = find_eigenvalues(
-            ALPHA, ModeSpec(5, "even"), order=10, beta_max=16, return_rejected=True)
+        pairs = find_eigenvalues(ALPHA, ModeSpec(5, "even"), order=10, beta_max=16)
         betas = [p.beta for p in pairs]
         assert betas == sorted(betas)
         assert betas == pytest.approx(TABLE_M5_N10, abs=5e-6)
         # the scan steps over the marching poles at 2, 6 and 12: nothing
-        # lands on one, and nothing is set aside
-        assert rejected == []
+        # lands on one
         for b in betas:
             assert min(abs(b - k * (k + 1)) for k in range(1, 5)) > POLE_GAP
 
@@ -250,8 +254,29 @@ class TestFindEigenvalues:
                                  beta_max=beta_max)
         assert pairs
         for p in pairs:
-            assert not p.diagnostics.spurious
             assert p.diagnostics.residual_rel <= 0.5
+
+    def test_non_real_pencil_root_raises(self, monkeypatch):
+        # a non-real root inside the window is reported, never set aside
+        pencil = eigensolver._m0_pencil_eigvals
+        monkeypatch.setattr(eigensolver, "_m0_pencil_eigvals",
+                            lambda alpha, parity, order:
+                            np.append(pencil(alpha, parity, order), 3.0 + 0.5j))
+        for parity in ("even", "odd"):
+            with pytest.raises(ArithmeticError, match="non-real"):
+                find_eigenvalues(ALPHA, ModeSpec(0, parity), order=10, beta_max=10.0)
+
+    def test_converged_is_the_order_n_versus_n2_rule(self):
+        # the sweep's sectors at order 10, where both verdicts occur: the
+        # trivial state, or |beta_N - beta_N+2| (padded) below 1e-6
+        verdicts = []
+        for alpha, m, parity in itertools.product((0.1, 0.5, 0.551591, 0.9), range(7),
+                                                  ("even", "odd")):
+            for p in find_eigenvalues(alpha, ModeSpec(m, parity), order=10, beta_max=25.0):
+                est = p.diagnostics.convergence_estimate
+                assert p.converged == (p.trivial or (est is not None and est < 1e-6))
+                verdicts.append(p.converged)
+        assert any(verdicts) and not all(verdicts)
 
     @pytest.mark.parametrize("alpha,m,parity,order,index,beta", [
         (0.1, 1, "even", 10, 0, 0.010048345),  # below the scan step
@@ -320,9 +345,8 @@ class TestM0Pencil:
     @pytest.mark.parametrize("alpha", PENCIL_ALPHAS)
     @pytest.mark.parametrize("parity", ("even", "odd"))
     def test_eigenfunctions_resolved_at_order_40(self, alpha, parity):
-        pairs, rejected = find_eigenvalues(alpha, ModeSpec(0, parity), order=40,
-                                           beta_max=25.0, return_rejected=True)
-        assert pairs and not rejected
+        pairs = find_eigenvalues(alpha, ModeSpec(0, parity), order=40, beta_max=25.0)
+        assert pairs
         for p in pairs:
             assert p.diagnostics.residual_rel <= 1e-5
 
@@ -332,15 +356,13 @@ class TestM0Pencil:
            order=st.sampled_from(PENCIL_ORDERS),
            parity=st.sampled_from(("even", "odd")))
     def test_agrees_with_fd_across_parameter_space(self, alpha, m, order, parity):
-        # every converged state (the CLI's rule) is the FD state of the same
-        # sector and index; at N = 40 none below beta_max is missing.  m = 0
-        # comes from the pencil, m != 0 from the determinant scan
+        # every converged state is the FD state of the same sector and
+        # index; at N = 40 none below beta_max is missing.  m = 0 comes from
+        # the pencil, m != 0 from the determinant scan
         pairs = find_eigenvalues(alpha, ModeSpec(m, parity), order=order, beta_max=10.0)
         fd = [s.beta for s in fd_spectrum(alpha, m, grid_size=1024,
                                           k_lowest=len(pairs) + 2, parity=parity)]
-        converged = [p.trivial or (p.diagnostics.convergence_estimate is not None
-                                   and p.diagnostics.convergence_estimate < 1e-6)
-                     for p in pairs]
+        converged = [p.converged for p in pairs]
         for i, (p, ok) in enumerate(zip(pairs, converged)):
             if ok:
                 assert p.beta == pytest.approx(fd[i], abs=1e-5)
