@@ -102,11 +102,9 @@ def _pair_record(pair: eigensolver.Eigenpair) -> dict:
 
 
 def spectrum_payload(alpha: float, m: int, parity: str, order: int,
-                     beta_max: float, scan_step: float) -> dict:
+                     beta_max: float) -> dict:
     pairs = eigensolver.find_eigenvalues(
-        alpha, ModeSpec(m, parity), order=order, beta_max=beta_max,
-        scan_step=scan_step,
-    )
+        alpha, ModeSpec(m, parity), order=order, beta_max=beta_max)
     return {
         "alpha": alpha,
         "m": m,
@@ -139,8 +137,7 @@ def parse_spectrum(text: str, fmt: str) -> list[dict]:
 
 def cmd_spectrum(args) -> int:
     records = [
-        spectrum_payload(args.alpha, m, parity, args.order, args.beta_max,
-                         args.scan_step)
+        spectrum_payload(args.alpha, m, parity, args.order, args.beta_max)
         for m in args.m
         for parity in _parities(args.parity)
     ]
@@ -166,17 +163,13 @@ def _parities(choice: str) -> list[str]:
 # state selection shared by wavefn / compare / repro
 # ---------------------------------------------------------------------------
 
-def _select_state(states, lam):
-    """lam is a 1-based index among non-trivial states, or 'trivial'."""
+def _select_state(states, lam) -> int | None:
+    """Position in ``states`` (the trivial state counted) of state ``lam``, a
+    1-based index among non-trivial states or 'trivial'; None if absent."""
     if lam == "trivial":
-        for p in states:
-            if p.trivial:
-                return p
-        return None
-    nontrivial = [p for p in states if not p.trivial]
-    if 1 <= lam <= len(nontrivial):
-        return nontrivial[lam - 1]
-    return None
+        return next((i for i, p in enumerate(states) if p.trivial), None)
+    nontrivial = [i for i, p in enumerate(states) if not p.trivial]
+    return nontrivial[lam - 1] if 1 <= lam <= len(nontrivial) else None
 
 
 def eigenfunction_record(alpha: float, psi: Eigenfunction, lam) -> dict:
@@ -216,19 +209,17 @@ def cmd_wavefn(args) -> int:
     lam = args.state
     states = eigensolver.find_eigenvalues(
         args.alpha, ModeSpec(args.m, args.parity), order=args.order,
-        beta_max=args.beta_max, scan_step=args.scan_step)
-    pair = _select_state(states, lam)
-    if pair is None:
-        available = ", ".join(
-            "trivial" if p.trivial else str(i + 1)
-            for i, p in enumerate(p for p in states if not p.trivial)
-        )
+        beta_max=args.beta_max)
+    index = _select_state(states, lam)
+    if index is None:
+        available = ", ".join(str(i + 1) for i in range(sum(not p.trivial for p in states)))
         trivial_note = " plus 'trivial'" if any(p.trivial for p in states) else ""
         sys.stderr.write(
             f"error: no state {lam} for m={args.m} parity={args.parity} within "
             f"beta_max={args.beta_max}; available: {available or 'none'}{trivial_note}\n"
         )
         return 1
+    pair = states[index]
     psi = normalize(from_series(pair.series, pair.beta, pair.mode,
                                 lambda_index=None if lam == "trivial" else lam),
                     args.alpha)
@@ -279,11 +270,12 @@ def cmd_compare(args) -> int:
         return 2
     states = eigensolver.find_eigenvalues(
         args.alpha, ModeSpec(args.m, args.parity), order=args.order,
-        beta_max=args.beta_max, scan_step=args.scan_step)
-    pair = _select_state(states, args.state)
-    if pair is None:
+        beta_max=args.beta_max)
+    index = _select_state(states, args.state)
+    if index is None:
         sys.stderr.write(f"error: no state {args.state} for m={args.m}\n")
         return 1
+    pair = states[index]
     betas: dict[str, float] = {}
     payload = {"alpha": args.alpha, "m": args.m, "parity": args.parity,
                "state": args.state, "beta": betas}
@@ -294,8 +286,6 @@ def cmd_compare(args) -> int:
                                   "tolerance": eigensolver.CONVERGED_TOL,
                                   "pass": pair.converged}
         ok = pair.converged
-    # position of the state in its sector, counting the trivial state
-    index = next(i for i, p in enumerate(states) if p is pair)
     cfg = oracles.OracleConfig(rk_step_count=args.rk_steps)
     if "rk" in methods:
         betas["rk"] = oracles.rk_find_eigenvalue(
@@ -458,11 +448,12 @@ def _repro_table4(data: dict, alpha: float, rk_steps: int) -> TableReport:
     states = eigensolver.find_eigenvalues(
         alpha, ModeSpec(state["m"], state["parity"]), order=table["order"],
         beta_max=table["scan_max"])
-    pair = _select_state(states, state["lambda"])
-    if pair is None:
+    index = _select_state(states, state["lambda"])
+    if index is None:
         report.rows.append(ReportRow("state", None, None, None, False,
                                      note="state not found"))
         return report
+    pair = states[index]
     psi = _truncated(from_series(pair.series, pair.beta, pair.mode),
                      table["series_truncation"])
     fs = [(t, float(evaluate(psi, t))) for t in thetas]
@@ -503,11 +494,12 @@ def _repro_table5(data: dict, alpha: float) -> TableReport:
         states = eigensolver.find_eigenvalues(
             alpha, ModeSpec(state["m"], state["parity"]), order=table["order"],
             beta_max=row["scan_max"])
-        pair = _select_state(states, state["lambda"])
-        if pair is None:
+        index = _select_state(states, state["lambda"])
+        if index is None:
             report.rows.append(ReportRow(row["label"], None, None, None, False,
                                          note="state not found"))
             continue
+        pair = states[index]
         psi = normalize(from_series(pair.series, pair.beta, pair.mode), alpha)
         printed = row["printed"]
         ref_key = next(iter(printed))
@@ -615,8 +607,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="series truncation order (default 10)")
     parser.add_argument("--beta-max", type=float, default=25.0,
                         help="upper end of the eigenvalue search (default 25)")
-    parser.add_argument("--scan-step", type=float, default=0.02,
-                        help="determinant scan step (default 0.02)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 

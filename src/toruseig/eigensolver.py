@@ -1,21 +1,24 @@
 """Eigenvalue extraction from the coefficient recursions.
 
-Both routes truncate the series, d_N = 0 (and d_{N+1} = 0 where five terms
-couple), and solve the rows floor..N-1 that remain, built by ``_stencil``
-from the real rows of ``recursion`` with negative indices folded by parity:
+Both eigenvalue routes truncate the series, d_N = 0 (and d_{N+1} = 0 where
+five terms couple), and solve the square rows floor..N-1 that remain, built
+by ``_stencil`` from the real rows of ``recursion`` with negative indices
+folded by parity:
 
 * m = 0: the three-term rows are affine in beta, so they form a tridiagonal
   pencil (A + beta B) d = 0 (Hill's method).  Its eigenvalues are the roots
   of the last numerator polynomial from ``coefficient_polynomials`` (plus
-  the exact beta = 0 of the even sector's n = 0 row); the same stencil,
-  extended past the truncation, gives each eigenfunction as a null vector.
+  the exact beta = 0 of the even sector's n = 0 row).
 
 * any m: the five-term rows are singular exactly where the normalized 2x2
   determinant of (d_N, d_{N+1}) for two marched series crosses zero.
-  Scanning in beta brackets the crossings and bisection refines them.  Each
-  eigenfunction is the null vector of the truncated rows at the root: the
-  minimal solution of the recursion (Gautschi, SIAM Rev. 9 (1967) 24),
-  which forward marching cannot give, as the dominant solution swamps it.
+  Scanning in beta brackets the crossings and bisection refines them.
+
+Every eigenfunction, in every sector, comes from one rule (``_series``): the
+smallest right singular vector of the square stencil continued 8 orders
+past N, cut to d_0..d_N and scaled to max |d| = 1.  That is the minimal
+solution of the recursion (Gautschi, SIAM Rev. 9 (1967) 24), which forward
+marching cannot give, as the dominant solution swamps it.
 
 The marching denominators vanish on beta = k(k+1) (k >= 1 even, k >= 2
 odd), where the determinant changes sign without a root.  The scan steps
@@ -104,8 +107,7 @@ def coefficient_polynomials(alpha: float, parity: Parity, order: int) -> list[Be
     by that product reproduces the marched d_n.  Degree grows by one per
     index: deg(q_n) = n - 1.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     # rows[n] = (tm, t0, tp) of _d_row_three as polynomials in beta; each is
@@ -349,8 +351,8 @@ def _trivial_eigenpair(alpha: float, order: int) -> Eigenpair:
     return _eigenpair(alpha, ModeSpec(0, "even"), series, 0.0, 0.0, trivial=True)
 
 
-def _stencil(row, parity: Parity, top: int, columns: int) -> np.ndarray:
-    """Rows floor..top of a recursion over the columns d_floor..d_{columns-1}.
+def _stencil(row, parity: Parity, columns: int) -> np.ndarray:
+    """Square rows floor..columns-1 of a recursion over d_floor..d_{columns-1}.
 
     floor is 0 (even) or 1 (odd, where d_0 = 0).  ``row(n)`` returns the
     coefficients of d_{n-h}..d_{n+h}; a negative index folds onto its
@@ -359,8 +361,8 @@ def _stencil(row, parity: Parity, top: int, columns: int) -> np.ndarray:
     """
     floor = 0 if parity == "even" else 1
     sign = 1.0 if parity == "even" else -1.0
-    s = np.zeros((top - floor + 1, columns - floor))
-    for i, n in enumerate(range(floor, top + 1)):
+    s = np.zeros((columns - floor, columns - floor))
+    for i, n in enumerate(range(floor, columns)):
         coeffs = row(n)
         h = len(coeffs) // 2
         for j, c in enumerate(coeffs):
@@ -374,44 +376,27 @@ def _stencil(row, parity: Parity, top: int, columns: int) -> np.ndarray:
 
 def _m0_pencil_eigvals(alpha: float, parity: Parity, order: int) -> np.ndarray:
     """Eigenvalues of the pencil A + beta B from rows floor..order-1, d_order = 0."""
-    a = _stencil(lambda n: _d_row_three(n, alpha, 0.0), parity, order - 1, order)
-    b = _stencil(lambda n: _d_row_three(n, alpha, 1.0), parity, order - 1, order) - a
+    a = _stencil(lambda n: _d_row_three(n, alpha, 0.0), parity, order)
+    b = _stencil(lambda n: _d_row_three(n, alpha, 1.0), parity, order) - a
     return np.linalg.eigvals(np.linalg.solve(b, -a))
 
 
-def _m0_series(alpha: float, mode: ModeSpec, beta: float, order: int) -> CoefficientSeries:
-    """Eigenfunction coefficients at an m = 0 root.
+def _series(alpha: float, mode: ModeSpec, beta: float, order: int) -> CoefficientSeries:
+    """Eigenfunction coefficients at a root, for any sector.
 
-    Rows floor+1..order+8 with d_{order+9} = 0 and d_{order+8} = 1 form an
-    upper-triangular system whose solution is the backward recurrence: the
-    wanted minimal solution dominates downward, so it is recovered stably
-    (forward marching amplifies rounding by ~2/alpha per step).  It is
-    normalized to the low-order seed, as forward marching would be.
+    The smallest right singular vector of the square stencil continued 8
+    orders past the truncation (rows floor..order+7 over d_floor..d_{order+7};
+    three-term rows at m = 0, five-term otherwise), cut to d_0..d_order and
+    scaled to max |d| = 1 with d_floor >= 0.
     """
-    s = _stencil(lambda n: _d_row_three(n, alpha, beta), mode.parity,
-                 order + 8, order + 9)[1:]
-    d = np.append(np.linalg.solve(s[:, :-1], -s[:, -1]), 1.0)
-    head = d[0] if d[0] != 0.0 else d[np.argmax(np.abs(d))]
+    if mode.m == 0:
+        s = _stencil(lambda n: _d_row_three(n, alpha, beta), mode.parity, order + 8)
+    else:
+        s = _stencil(lambda n: _d_row_five(n, alpha, mode.m, beta), mode.parity, order + 8)
     floor = 0 if mode.parity == "even" else 1
-    vals = np.concatenate((np.zeros(floor), d / head))[: order + 1]
-    return CoefficientSeries(order=order, m=0, parity=mode.parity,
-                             d=tuple(float(x) for x in vals), log_scale=0.0)
-
-
-def _truncated_series(alpha: float, mode: ModeSpec, beta: float,
-                      order: int) -> CoefficientSeries:
-    """Eigenfunction coefficients at a root of the five-term truncation.
-
-    The null vector (smallest right singular vector) of the five-term rows
-    floor..order-1 with d_order = d_{order+1} = 0, scaled to max |d| = 1
-    with d_floor >= 0.
-    """
-    s = _stencil(lambda n: _d_row_five(n, alpha, mode.m, beta), mode.parity,
-                 order - 1, order)
-    v = np.linalg.svd(s)[2][-1]
+    v = np.linalg.svd(s)[2][-1][: order + 1 - floor]
     v = v / (math.copysign(1.0, v[0]) * np.max(np.abs(v)))
-    floor = 0 if mode.parity == "even" else 1
-    vals = np.concatenate((np.zeros(floor), v, [0.0]))
+    vals = np.concatenate((np.zeros(floor), v))
     return CoefficientSeries(order=order, m=mode.m, parity=mode.parity,
                              d=tuple(float(x) for x in vals), log_scale=0.0)
 
@@ -440,8 +425,7 @@ def _find_m0(alpha: float, mode: ModeSpec, order: int,
                 f"non-real pencil root {complex(root):.9g} in m=0 {mode.parity} "
                 f"at order {order}")
         b2 = float(roots_n2[np.argmin(np.abs(roots_n2 - beta))])
-        pairs.append(_eigenpair(alpha, mode, _m0_series(alpha, mode, beta, order),
-                                beta, b2))
+        pairs.append(_eigenpair(alpha, mode, _series(alpha, mode, beta, order), beta, b2))
     return pairs
 
 
@@ -455,8 +439,8 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
     over every marching pole k(k+1) of orders N and N+2: it evaluates
     k(k+1) +/- POLE_GAP and never brackets that interval, and the N+2 search
     window is clipped at the same poles.  Every root found is accepted, with
-    the truncated null vector as its eigenfunction, and ``converged`` says
-    whether it has converged.  Returns (accepted, []): nothing is rejected.
+    its eigenfunction from ``_series``, and ``converged`` says whether it
+    has converged.  Returns (accepted, []): nothing is rejected.
     """
     poles = _poles(mode.parity, order + 2)
     steps = [scan_step * k for k in range(int(math.floor(beta_max / scan_step)) + 1)]
@@ -481,24 +465,27 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
         b2 = _bisect_determinant(alpha, mode, order + 2, lo2, hi2,
                                  determinant(alpha, mode, lo2, order + 2),
                                  determinant(alpha, mode, hi2, order + 2))
-        accepted.append(_eigenpair(alpha, mode,
-                                   _truncated_series(alpha, mode, beta, order), beta, b2))
+        accepted.append(_eigenpair(alpha, mode, _series(alpha, mode, beta, order),
+                                   beta, b2))
     return accepted, []
 
 
 def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
-                     beta_max: float = 25.0, scan_step: float = 0.02) -> list[Eigenpair]:
+                     beta_max: float = 25.0) -> list[Eigenpair]:
     """All eigenvalues of one (m, parity) sector up to beta_max.
 
     m = 0 solves the truncated tridiagonal pencil of its three-term rows
     (one free seed, so tail-vanishing is a root condition on one
     polynomial, the pencil's characteristic polynomial); m != 0 scans the
-    normalized determinant, stepping over its marching poles, and bisects
-    each sign change to 1e-10.  Every eigenfunction is the null vector of
-    the truncated rows.  Results are sorted ascending.  The exact constant
-    mode at beta = 0 (m = 0, even) is included flagged ``trivial``.  No
-    root is dropped: ``Eigenpair.converged`` is the verdict, from the
-    order N versus N+2 estimate in ``diagnostics.convergence_estimate``.
+    normalized determinant in steps of 0.02, stepping over its marching
+    poles, and bisects each sign change to 1e-10.  Every eigenfunction is
+    the smallest right singular vector of the sector's stencil continued 8
+    orders past the truncation, cut to d_0..d_order and scaled to
+    max |d| = 1 with d_floor >= 0.  Results are sorted ascending.  The
+    exact constant mode at beta = 0 (m = 0, even) is included flagged
+    ``trivial``.  No root is dropped: ``Eigenpair.converged`` is the
+    verdict, from the order N versus N+2 estimate in
+    ``diagnostics.convergence_estimate``.
     A non-real m = 0 pencil root in [0, beta_max] raises ``ArithmeticError``.
     """
     _check_alpha(alpha)
@@ -506,8 +493,6 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
         raise ValueError(f"order must be >= 1, got {order}")
     if beta_max <= 0:
         raise ValueError(f"beta_max must be positive, got {beta_max}")
-    if scan_step <= 0:
-        raise ValueError(f"scan_step must be positive, got {scan_step}")
     if mode.m == 0:
         return _find_m0(alpha, mode, order, beta_max)
-    return determinant_scan(alpha, mode, order, beta_max, scan_step)[0]
+    return determinant_scan(alpha, mode, order, beta_max)[0]

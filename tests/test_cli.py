@@ -241,6 +241,16 @@ class TestCompareCommand:
         payload = json.loads(text)
         assert payload["beta"]["fourier"] == pytest.approx(0.010048345, abs=1e-8)
 
+    def test_eigenfunction_matches_shooting_to_2e6(self, tmp_path):
+        # the stencil continued past the truncation resolves this state's
+        # shape better than the rows cut at N, which deviate by 4.3e-6
+        code, text = run_cli(tmp_path, "compare", "--methods", "fourier,rk",
+                             "--alpha", "0.525", "--m", "3", "--parity", "odd",
+                             "--state", "2", "--order", "10",
+                             "--beta-max", "8.195077")
+        assert code == 0
+        assert json.loads(text)["eigenfunction"]["max_rel_deviation"] < 2e-6
+
     def test_fd_takes_same_parity_and_state(self, tmp_path):
         code, text = run_cli(tmp_path, "compare", "--m", "1", "--parity", "odd",
                              "--state", "2", "--methods", "fourier,fd",
@@ -297,7 +307,6 @@ class TestParserHelp:
         args = build_parser().parse_args(["spectrum"])
         assert args.alpha == 0.5
         assert args.order == 10
-        assert args.scan_step == 0.02
         args = build_parser().parse_args(["compare", "--m", "0", "--state", "1"])
         assert args.rk_steps == 4096
         assert args.fd_grid == 1024
@@ -305,7 +314,7 @@ class TestParserHelp:
     @pytest.mark.parametrize("command,option,value", [
         ("spectrum", "--rk-steps", "7"), ("spectrum", "--fd-grid", "66"),
         ("wavefn", "--rk-steps", "7"), ("wavefn", "--fd-grid", "66"),
-        ("compare", "--format", "csv"),
+        ("compare", "--format", "csv"), ("spectrum", "--scan-step", "0.01"),
     ])
     def test_unread_options_are_usage_errors(self, command, option, value):
         argv = [command, option, value]

@@ -243,8 +243,6 @@ class TestFindEigenvalues:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_eigenvalues(ALPHA, ModeSpec(0, "even"), beta_max=-1.0)
-        with pytest.raises(ValueError):
-            find_eigenvalues(ALPHA, ModeSpec(1, "even"), beta_max=5.0, scan_step=0.0)
 
     @pytest.mark.parametrize("m,parity,beta_max", [
         (0, "even", 10.5), (0, "odd", 10.5), (1, "even", 5.5), (5, "even", 16.5),
@@ -298,14 +296,26 @@ class TestFindEigenvalues:
         ("odd", [1.263716947, 4.410559205, 9.428213665, 16.427610708]),
     ])
     def test_high_order_eigenfunctions_resolved(self, parity, betas):
-        # the truncated null vector is the minimal solution, which forward
-        # marching from two seeds loses to the dominant one at order 40
+        # the stencil's smallest singular vector is the minimal solution,
+        # which forward marching from two seeds loses to the dominant one
+        # at order 40
         pairs = find_eigenvalues(ALPHA, ModeSpec(1, parity), order=40,
                                  beta_max=25.0)
         assert [p.beta for p in pairs] == pytest.approx(betas, abs=1e-8)
         for p in pairs:
             assert p.diagnostics.residual_rel <= 1e-6
             assert p.diagnostics.convergence_estimate < 1e-6
+
+    @pytest.mark.parametrize("m", (0, 1, 3))
+    def test_every_series_on_one_scale(self, m):
+        # one rule for every sector: max |d| = 1 with d_floor > 0
+        for parity, floor in (("even", 0), ("odd", 1)):
+            for p in find_eigenvalues(ALPHA, ModeSpec(m, parity), order=10,
+                                      beta_max=12.0):
+                if p.trivial:
+                    continue
+                assert max(abs(x) for x in p.series.d) == 1.0
+                assert p.series.d[floor] > 0.0
 
     def test_m0_convergence_estimate_bounds_next_order(self):
         pairs = find_eigenvalues(ALPHA, ModeSpec(0, "even"), order=10,

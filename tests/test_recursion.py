@@ -113,11 +113,11 @@ class TestFiveTermRow:
 
     def test_tail_decays_at_eigenvalue(self):
         # at a converged eigenvalue the truncation is self-consistent: the
-        # null vector of the truncated rows decays into d_N = 0
-        from toruseig.eigensolver import _truncated_series
+        # minimal solution has decayed by d_N
+        from toruseig.eigensolver import _series
 
-        series = _truncated_series(ALPHA, ModeSpec(1, "even"), 0.2493680570, 10)
-        assert series.d[10] == 0.0
+        series = _series(ALPHA, ModeSpec(1, "even"), 0.2493680570, 10)
+        assert abs(series.d[10]) / series.max_abs() < 1e-6
         assert abs(series.d[9]) / series.max_abs() < 1e-4
 
 
