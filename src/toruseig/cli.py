@@ -265,7 +265,7 @@ def _rk_bracket(states, index: int) -> tuple[float, float]:
 
 def cmd_compare(args) -> int:
     methods = args.methods
-    if len(methods) < 2:
+    if len(set(methods)) < 2:
         sys.stderr.write("error: compare needs at least two of fourier, rk, fd\n")
         return 2
     states = eigensolver.find_eigenvalues(
@@ -581,9 +581,12 @@ def cmd_embed(args) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -603,7 +606,7 @@ def _state_arg(text: str):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.5,
                         help="aspect ratio a/R (default 0.5)")
-    parser.add_argument("--order", type=int, default=10,
+    parser.add_argument("--order", type=_positive_int, default=10,
                         help="series truncation order (default 10)")
     parser.add_argument("--beta-max", type=float, default=25.0,
                         help="upper end of the eigenvalue search (default 25)")

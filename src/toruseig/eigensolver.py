@@ -7,8 +7,10 @@ folded by parity:
 
 * m = 0: the three-term rows are affine in beta, so they form a tridiagonal
   pencil (A + beta B) d = 0 (Hill's method).  Its eigenvalues are the roots
-  of the last numerator polynomial from ``coefficient_polynomials`` (plus
-  the exact beta = 0 of the even sector's n = 0 row).
+  of the last numerator polynomial from ``coefficient_polynomials``, the
+  paper's eq. (14), which ``roots_warm_started`` takes from each
+  polynomial's companion matrix (plus the exact beta = 0 of the even
+  sector's n = 0 row).
 
 * any m: the five-term rows are singular exactly where the normalized 2x2
   determinant of (d_N, d_{N+1}) for two marched series crosses zero.
@@ -48,7 +50,6 @@ from .recursion import (
 
 DEFAULT_SEEDS = ((1.0, 1.0), (1.0, -1.0))
 REFINE_TOL = 1e-10
-DUPLICATE_TOL = 1e-9
 # half-width of the interval the scan steps over at each marching pole
 POLE_GAP = 1e-6
 # a root has converged once it moves by less than this from order N to N+2
@@ -58,8 +59,6 @@ __all__ = [
     "BetaPolynomial",
     "Eigenpair",
     "EigenDiagnostics",
-    "WarmRoot",
-    "WarmStartResult",
     "coefficient_polynomials",
     "roots_warm_started",
     "determinant",
@@ -77,7 +76,6 @@ class BetaPolynomial:
     coefficients: tuple[float, ...]
     source_index: int
     parity: Parity
-    m: int = 0
 
     @property
     def degree(self) -> int:
@@ -90,12 +88,6 @@ class BetaPolynomial:
         acc = 0.0
         for c in reversed(self.coefficients):
             acc = acc * beta + c
-        return acc
-
-    def deriv_eval(self, beta: float) -> float:
-        acc = 0.0
-        for k in range(len(self.coefficients) - 1, 0, -1):
-            acc = acc * beta + k * self.coefficients[k]
         return acc
 
 
@@ -133,133 +125,16 @@ def coefficient_polynomials(alpha: float, parity: Parity, order: int) -> list[Be
     ]
 
 
-@dataclass(frozen=True)
-class WarmRoot:
-    beta: float
-    converged: bool
-    iterations: int
+def roots_warm_started(polys: Sequence[BetaPolynomial]) -> list[list[float]]:
+    """Real roots of each polynomial, from its companion matrix (``np.roots``).
 
-
-@dataclass(frozen=True)
-class WarmStartResult:
-    """Roots per polynomial order plus the trajectory each root traces."""
-
-    orders: tuple[int, ...]
-    roots_per_order: tuple[tuple[WarmRoot, ...], ...]
-    # trajectories[i][j] is root i's value at orders[j], None before it appears
-    trajectories: tuple[tuple[float | None, ...], ...]
-
-    def final_roots(self, converged_only: bool = True) -> list[float]:
-        if not self.roots_per_order:
-            return []
-        last = self.roots_per_order[-1]
-        return [r.beta for r in last if r.converged or not converged_only]
-
-
-def _newton(poly: BetaPolynomial, x0: float, max_iter: int = 60) -> tuple[float, bool, int]:
-    x = x0
-    for it in range(1, max_iter + 1):
-        f = poly.eval(x)
-        df = poly.deriv_eval(x)
-        if df == 0.0:
-            return x, False, it
-        step = f / df
-        x -= step
-        if abs(step) <= 1e-13 * max(1.0, abs(x)):
-            return x, True, it
-    return x, False, max_iter
-
-
-def _bisect_poly(poly: BetaPolynomial, lo: float, hi: float) -> float | None:
-    flo, fhi = poly.eval(lo), poly.eval(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = poly.eval(mid)
-        if fm == 0.0 or hi - lo < 1e-14 * max(1.0, abs(mid)):
-            return mid
-        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def roots_warm_started(polys: Sequence[BetaPolynomial]) -> WarmStartResult:
-    """Track real nonnegative roots across orders by warm-started refinement.
-
-    Each order refines the previous order's roots by Newton iteration (with a
-    bisection fallback around the seed) and hunts one new root near the
-    square of the previous index, where fresh roots of this family appear.
-    Failures are flagged, never dropped; duplicates merge at 1e-9; every root
-    list is sorted ascending.
+    One ascending list per polynomial, in the order given; a root counts as
+    real when its imaginary part is exactly 0.  Entry [j][i] of the lists of
+    ``coefficient_polynomials(alpha, parity, N)`` is lambda^{i+1}_{j+1}, the
+    paper's eq. (14).
     """
-    polys = sorted(polys, key=lambda p: p.source_index)
-    orders: list[int] = []
-    per_order: list[tuple[WarmRoot, ...]] = []
-    trajectories: list[list[float | None]] = []
-
-    current: list[WarmRoot] = []
-    track_of_root: list[int] = []  # index into trajectories, parallel to current
-    for poly in polys:
-        orders.append(poly.source_index)
-        if poly.degree < 1:
-            # degenerate guard: constant polynomial carries no roots
-            per_order.append(tuple())
-            for tr in trajectories:
-                tr.append(None)
-            continue
-        refined: list[WarmRoot] = []
-        refined_track: list[int] = []
-        for root, track in zip(current, track_of_root):
-            x, ok, its = _newton(poly, root.beta)
-            if not ok or x < -1e-9:
-                b = _bisect_poly(poly, max(0.0, root.beta - 1.0), root.beta + 1.0)
-                if b is not None:
-                    x, ok, its = b, True, its
-            refined.append(WarmRoot(beta=x, converged=ok, iterations=its))
-            refined_track.append(track)
-        # one new root enters near (source_index - 1)^2
-        seed = float((poly.source_index - 1) ** 2)
-        x, ok, its = _newton(poly, seed)
-        if not ok or x < -1e-9:
-            b = _bisect_poly(poly, max(0.0, 0.5 * seed), 1.5 * seed + 2.0)
-            if b is not None:
-                x, ok, its = b, True, its
-        is_new = all(abs(x - r.beta) > DUPLICATE_TOL for r in refined)
-        if is_new:
-            refined.append(WarmRoot(beta=x, converged=ok, iterations=its))
-            trajectories.append([None] * (len(orders) - 1))
-            refined_track.append(len(trajectories) - 1)
-        # merge duplicates, sort ascending
-        paired = sorted(zip(refined, refined_track), key=lambda rt: rt[0].beta)
-        merged: list[WarmRoot] = []
-        merged_track: list[int] = []
-        for root, track in paired:
-            if merged and abs(root.beta - merged[-1].beta) <= DUPLICATE_TOL:
-                continue
-            merged.append(root)
-            merged_track.append(track)
-        per_order.append(tuple(merged))
-        seen = set()
-        for root, track in zip(merged, merged_track):
-            trajectories[track].append(root.beta)
-            seen.add(track)
-        for i, tr in enumerate(trajectories):
-            if i not in seen and len(tr) < len(orders):
-                tr.append(None)
-        current, track_of_root = merged, merged_track
-
-    return WarmStartResult(
-        orders=tuple(orders),
-        roots_per_order=tuple(per_order),
-        trajectories=tuple(tuple(tr) for tr in trajectories),
-    )
+    return [sorted(float(r.real) for r in np.roots(p.coefficients[::-1]) if r.imag == 0.0)
+            for p in polys]
 
 
 def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,

@@ -24,6 +24,8 @@ def run_cli(tmp_path, *argv):
 class TestExitCodes:
     def test_usage_error_is_exit_2(self, capsys):
         for argv in (["spectrum", "--order", "not-a-number"],
+                     ["spectrum", "--order", "0"],
+                     ["spectrum", "--m", ","],
                      ["wavefn", "--m", "0", "--state", "1", "--samples", "-3"],
                      ["wavefn", "--m", "0", "--state", "1", "--samples", "0"],
                      ["embed", "--grid", "-2"]):
@@ -37,9 +39,11 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_single_method_is_usage_error(self, tmp_path):
-        code = main(["compare", "--m", "0", "--state", "1",
-                     "--methods", "fourier"])
-        assert code == 2
+        # a repeated method is still one method: nothing would be compared
+        for methods in ("fourier", "fourier,fourier"):
+            code = main(["compare", "--m", "0", "--state", "1",
+                         "--methods", methods])
+            assert code == 2
 
     def test_unknown_state_is_exit_1_and_lists_states(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "wavefn", "--m", "0", "--state", "40",
