@@ -24,6 +24,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
+import numpy as np
+
 from . import eigensolver, oracles
 from .geometry import TorusShape, embed
 from .recursion import ModeSpec
@@ -308,7 +310,7 @@ def cmd_compare(args) -> int:
         thetas = [2.0 * math.pi * j / 24 for j in range(24)]
         rk_vals = oracles.rk_sample(args.alpha, args.m, betas["rk"],
                                     args.parity, thetas, cfg)
-        fs_vals = [(t, float(evaluate(psi, t))) for t in thetas]
+        fs_vals = list(zip(thetas, evaluate(psi, np.array(thetas)).tolist()))
         cmp = compare_scaled(fs_vals, rk_vals)
         ref = max(abs(v) for _, v in rk_vals)
         dev = cmp.max_abs_deviation / ref if ref > 0 else math.inf
@@ -586,16 +588,44 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
     return values
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _rk_steps(text: str) -> int:
+    return _int_at_least(text, 100)
+
+
+def _fd_grid(text: str) -> int:
+    value = _int_at_least(text, 64)
+    if value % 2 or value > oracles.FD_GRID_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be even and in [64, {oracles.FD_GRID_CAP}], got {value}")
     return value
 
 
@@ -608,7 +638,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="aspect ratio a/R (default 0.5)")
     parser.add_argument("--order", type=_positive_int, default=10,
                         help="series truncation order (default 10)")
-    parser.add_argument("--beta-max", type=float, default=25.0,
+    parser.add_argument("--beta-max", type=_positive_float, default=25.0,
                         help="upper end of the eigenvalue search (default 25)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -631,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="recompute a golden reference table")
     p.add_argument("--table", type=int, choices=TABLE_IDS, required=True)
-    p.add_argument("--rk-steps", type=int, default=4096)
+    p.add_argument("--rk-steps", type=_rk_steps, default=4096)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_repro)
@@ -648,9 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="cross-check a state between methods")
     _add_common(p)
-    p.add_argument("--rk-steps", type=int, default=4096,
+    p.add_argument("--rk-steps", type=_rk_steps, default=4096,
                    help="RK4 steps per half-loop (default 4096)")
-    p.add_argument("--fd-grid", type=int, default=1024,
+    p.add_argument("--fd-grid", type=_fd_grid, default=1024,
                    help="finite-difference grid size (default 1024)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--state", type=_state_arg, required=True)
@@ -670,8 +700,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # built once per process: the handlers never mutate a parsed default
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     if hasattr(args, "methods"):
         bad = [x for x in args.methods if x not in ("fourier", "rk", "fd")]

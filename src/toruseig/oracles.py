@@ -12,11 +12,14 @@ Two methods that share no machinery with the Fourier recursion:
   The equation is linear, y' = A(theta) y with y = (psi, psi') and
   A = [[0, 1], [q - beta, -p]], p = alpha cos / w, q = m^2 alpha^2 / w^2,
   so one RK4 step is exactly y <- M_k y for a 2x2 step matrix M_k.  A path
-  builds all of its step matrices at once as numpy arrays (the beta-free
-  p and q at the step nodes are cached per path) and multiplies them in a
-  pairwise tree.  An eigenvalue is found by Illinois regula falsi on the
-  forward defect, bisecting whenever the secant point leaves the bracket;
-  the forward/backward consistency check runs once, at the root.
+  builds all of its step matrices at once as numpy arrays and multiplies
+  them in a pairwise tree; one kernel does this for a single path or for a
+  batch of equally long paths, one per row.  An eigenvalue is found by
+  Illinois regula falsi on the forward defect (the beta-free p and q at
+  the step nodes of its forward and backward path are cached), bisecting
+  whenever the secant point leaves the bracket; the forward/backward
+  consistency check runs once, at the root.  Sampling a trajectory batches
+  its legs by step count.
 
 * A flux-form central finite difference of the self-adjoint form
 
@@ -32,9 +35,11 @@ Two methods that share no machinery with the Fourier recursion:
   lowest k eigenvalues of a sector are computed: the Sturm count (the
   LDL^T inertia of the shifted matrix) brackets each one, and Laguerre's
   iteration converges on it, in O(n k) work and O(n) memory with no dense
-  matrix.  Each sector is paired with the same sector of a
-  half-resolution run and Richardson-extrapolated, which removes the
-  leading h^2 error.
+  matrix.  A sector is positive semidefinite, so its search starts at 0
+  (less a rounding-level margin) rather than at the Gershgorin bound that
+  a general symmetric tridiagonal matrix needs.  Each sector is paired
+  with the same sector of a half-resolution run and
+  Richardson-extrapolated, which removes the leading h^2 error.
 """
 
 from __future__ import annotations
@@ -94,16 +99,24 @@ class ShootingState:
     dpsi: float
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _path_coefficients(alpha: float, m: int, theta0: float, theta_end: float,
                        steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """p and q at the 2 steps + 1 RK4 nodes theta0 + j h/2 (read-only)."""
+    """_coefficients of one path, read-only and cached: the forward and the
+    backward path of a root search."""
+    p, q = _coefficients(alpha, m, theta0, theta_end, steps)
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return p, q
+
+
+def _coefficients(alpha: float, m: int, theta0, theta_end, steps: int):
+    """p and q at the 2 steps + 1 RK4 nodes theta0 + j h/2 of each path; a
+    column of ends gives one path per row."""
     t = theta0 + (0.5 * (theta_end - theta0) / steps) * np.arange(2 * steps + 1)
     w = 1.0 + alpha * np.sin(t)
     p = alpha * np.cos(t) / w
     q = (m * m * alpha * alpha) / (w * w)
-    p.setflags(write=False)
-    q.setflags(write=False)
     return p, q
 
 
@@ -123,15 +136,12 @@ def _matmul(x, y):
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
-def _integrate(alpha: float, m: int, beta: float, state: ShootingState,
-               theta_end: float, steps: int) -> ShootingState:
-    """Fixed-step RK4 from state.theta to theta_end, as one matrix product."""
-    h = (theta_end - state.theta) / steps
-    p, q = _path_coefficients(alpha, m, state.theta, theta_end, steps)
-    c, d = q - beta, -p
-    ca, da = c[:-1:2], d[:-1:2]      # step start
-    cb, db = c[1::2], d[1::2]        # midpoint
-    cc, dc = c[2::2], d[2::2]        # step end
+def _step_product(c, d, h):
+    """The product of the RK4 step matrices along the last axis, for
+    c = q - beta and d = -p at the nodes of each path and its step h."""
+    ca, da = c[..., :-1:2], d[..., :-1:2]      # step start
+    cb, db = c[..., 1::2], d[..., 1::2]        # midpoint
+    cc, dc = c[..., 2::2], d[..., 2::2]        # step end
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = (0.0, 1.0, ca, da)
         k2 = _a_times(cb, db, _eye_plus(0.5 * h, k1))
@@ -141,20 +151,35 @@ def _integrate(alpha: float, m: int, beta: float, state: ShootingState,
                                         for a, b, e, f in zip(k1, k2, k3, k4)))
         # pairwise tree: each level multiplies every later matrix onto its
         # predecessor; an odd one out waits, still last, for the next level
-        while len(step[0]) > 1:
-            odd = len(step[0]) % 2
-            pair = _matmul(tuple(x[1::2] for x in step),
-                           tuple(x[:len(x) - odd:2] for x in step))
+        while step[0].shape[-1] > 1:
+            size = step[0].shape[-1]
+            odd = size % 2
+            pair = _matmul(tuple(x[..., 1::2] for x in step),
+                           tuple(x[..., :size - odd:2] for x in step))
             step = pair if not odd else tuple(
-                np.append(a, x[-1]) for a, x in zip(pair, step))
-        mat = [float(x[0]) for x in step]
-        psi = mat[0] * state.psi + mat[1] * state.dpsi
-        dpsi = mat[2] * state.psi + mat[3] * state.dpsi
+                np.concatenate((a, x[..., -1:]), axis=-1) for a, x in zip(pair, step))
+    return tuple(x[..., 0] for x in step)
+
+
+def _advance(state: ShootingState, mat, beta: float, steps: int,
+             theta_end: float) -> ShootingState:
+    """The state carried to theta_end by a path's step-matrix product."""
+    mat = [float(x) for x in mat]
+    psi = mat[0] * state.psi + mat[1] * state.dpsi
+    dpsi = mat[2] * state.psi + mat[3] * state.dpsi
     if not (math.isfinite(psi) and math.isfinite(dpsi)):
         raise OracleError(
             f"integration diverged at beta={beta}, steps={steps}, theta={theta_end}"
         )
     return ShootingState(theta=theta_end, psi=psi, dpsi=dpsi)
+
+
+def _integrate(alpha: float, m: int, beta: float, state: ShootingState,
+               theta_end: float, steps: int) -> ShootingState:
+    """Fixed-step RK4 from state.theta to theta_end, as one matrix product."""
+    p, q = _path_coefficients(alpha, m, state.theta, theta_end, steps)
+    mat = _step_product(q - beta, -p, (theta_end - state.theta) / steps)
+    return _advance(state, mat, beta, steps, theta_end)
 
 
 def _launch(parity: Parity) -> ShootingState:
@@ -254,18 +279,41 @@ def rk_sample(alpha: float, m: int, beta: float, parity: Parity,
     Points left of -pi/2 ride the backward branch.  Each branch visits its
     targets in one sweep outward from the launch, with step counts scaled
     to the length of each leg so resolution matches the configured
-    per-half-loop density.
+    per-half-loop density.  A leg's step matrices do not depend on the
+    state it carries, so the legs that share a step count are multiplied
+    out together, in batches of at most one half loop's nodes, and only the
+    2x2 products are chained.
     """
     launch = _launch(parity)
     values = [launch.psi] * len(thetas)
+    legs = []       # (start, end, steps, target) per branch, outward
     for outward in (1.0, -1.0):
-        state = launch
+        start, branch = launch.theta, []
         targets = [i for i, t in enumerate(thetas) if outward * (t - launch.theta) > 0]
         for i in sorted(targets, key=lambda i: outward * thetas[i]):
-            span = abs(thetas[i] - state.theta)
-            if span > 0.0:
-                steps = max(2, int(round(config.rk_step_count * span / pi)))
-                state = _integrate(alpha, m, beta, state, thetas[i], steps)
+            span = abs(thetas[i] - start)
+            steps = max(2, int(round(config.rk_step_count * span / pi))) if span else 0
+            branch.append((start, float(thetas[i]), steps, i))
+            start = float(thetas[i])
+        legs.append(branch)
+    products = {}
+    by_steps: dict[int, list[tuple[float, float]]] = {}
+    for start, end, steps, _ in legs[0] + legs[1]:
+        if steps:
+            by_steps.setdefault(steps, []).append((start, end))
+    for steps, group in by_steps.items():
+        size = max(1, (2 * config.rk_step_count + 1) // (2 * steps + 1))
+        for j in range(0, len(group), size):
+            batch = group[j:j + size]
+            start, end = (np.array(x)[:, None] for x in zip(*batch))
+            p, q = _coefficients(alpha, m, start, end, steps)
+            mats = _step_product(q - beta, -p, (end - start) / steps)
+            products.update(zip(batch, zip(*mats)))
+    for branch in legs:
+        state = launch
+        for start, end, steps, i in branch:
+            if steps:
+                state = _advance(state, products[start, end], beta, steps, end)
             values[i] = state.psi
     return [(float(t), v) for t, v in zip(thetas, values)]
 
@@ -356,7 +404,10 @@ def _fd_raw(alpha: float, m: int, n: int, parity: Parity, k: int) -> np.ndarray:
         keep = slice(int(node_ends[0]), len(theta) - int(node_ends[1]))
         diag, off, mass = diag[keep], off[keep], mass[keep]
     s = 1.0 / np.sqrt(mass)
-    return _lowest_eigenvalues(diag * s * s, off[:-1] * s[:-1] * s[1:], k)
+    # a flux-form stiffness, a non-negative m^2 alpha^2 / w and a positive
+    # mass: the sector is positive semidefinite
+    return _lowest_eigenvalues(diag * s * s, off[:-1] * s[:-1] * s[1:], k,
+                               semidefinite=True)
 
 
 def _fd_rows(alpha: float, m: int, theta: np.ndarray, h: float):
@@ -368,14 +419,19 @@ def _fd_rows(alpha: float, m: int, theta: np.ndarray, h: float):
     return diag, -wp / h**2, w, wm
 
 
-def _lowest_eigenvalues(diag: np.ndarray, sub: np.ndarray, k: int) -> np.ndarray:
+def _lowest_eigenvalues(diag: np.ndarray, sub: np.ndarray, k: int, *,
+                        semidefinite: bool = False) -> np.ndarray:
     """The min(k, n) lowest eigenvalues, ascending, of the symmetric
     tridiagonal n x n matrix T with diagonal diag and subdiagonal sub.
 
     The LDL^T factorization of T - x has as many negative pivots as T has
     eigenvalues below x (Sylvester's inertia; the Sturm count of Barth,
     Martin & Wilkinson), so every factorization tightens the bracket of
-    every wanted eigenvalue.  Starting from the Gershgorin interval, each
+    every wanted eigenvalue.  The search starts from the Gershgorin
+    interval, or, for a ``semidefinite`` T, from -tol (the rounding-level
+    tolerance below) up to the first of 1, 2, 4, ... with at least k
+    eigenvalues below it, which saves the passes that would only walk down
+    from the Gershgorin bounds to the low end of the spectrum.  Each
     eigenvalue is bisected until it is alone in its bracket, then found
     by Laguerre's iteration, which for a polynomial with only real roots
     moves monotonically towards the next root on the chosen side and
@@ -397,8 +453,16 @@ def _lowest_eigenvalues(diag: np.ndarray, sub: np.ndarray, k: int) -> np.ndarray
     rows = list(zip((diag / scale).tolist(), squares))
     # lo[j]: largest shift seen with at most j eigenvalues below it, and
     # hi[j] the smallest with more; lo[k] tells when the last one is alone
-    lo = np.full(k + 1, lower - tol)
+    lo = np.full(k + 1, -tol if semidefinite else lower - tol)
     hi = np.full(k, upper + tol)
+    x = 1.0 / scale
+    while semidefinite and x < upper:
+        below = _inertia(rows, x)[0]
+        np.maximum(lo[below:], x, out=lo[below:])
+        np.minimum(hi[:below], x, out=hi[:below])
+        if below >= k:
+            break
+        x *= 2.0
     values = np.empty(k)
     for j in range(k):
         x, last = 0.5 * float(lo[j] + hi[j]), math.inf

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from toruseig import eigensolver
+from toruseig import eigensolver, oracles
 from toruseig.cli import (
     build_parser,
     golden_tables,
@@ -28,7 +28,20 @@ class TestExitCodes:
                      ["spectrum", "--m", ","],
                      ["wavefn", "--m", "0", "--state", "1", "--samples", "-3"],
                      ["wavefn", "--m", "0", "--state", "1", "--samples", "0"],
-                     ["embed", "--grid", "-2"]):
+                     ["embed", "--grid", "-2"],
+                     ["spectrum", "--m", "1,1", "--order", "4", "--beta-max", "3"],
+                     ["spectrum", "--beta-max", "0"],
+                     ["spectrum", "--beta-max", "-1"],
+                     ["compare", "--m", "0", "--state", "1", "--rk-steps", "99"],
+                     ["repro", "--table", "1", "--rk-steps", "0"],
+                     ["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
+                      "--fd-grid", "0"],
+                     ["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
+                      "--fd-grid", "1025"],
+                     ["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
+                      "--fd-grid", "62"],
+                     ["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
+                      "--fd-grid", "2050"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -262,6 +275,37 @@ class TestCompareCommand:
         assert code == 0
         fd = fd_spectrum(0.5, 1, grid_size=256, k_lowest=2, parity="odd")
         assert json.loads(text)["beta"]["fd"] == fd[1].beta
+
+
+    def test_keeps_at_most_one_root_search_of_paths(self, tmp_path):
+        # rk_sample builds its legs' coefficients without the path cache, so
+        # the cache holds only the root search's forward and backward path
+        code, _ = run_cli(tmp_path, "compare", "--m", "3", "--parity", "odd",
+                          "--state", "1", "--methods", "fourier,rk")
+        assert code == 0
+        assert oracles._path_coefficients.cache_info().currsize <= 2
+
+
+class TestSuccessiveCalls:
+    def test_no_state_left_behind(self, tmp_path):
+        # main keeps one parser per process; each call must read as if it
+        # were the first, defaults included
+        first = tmp_path / "first.json"
+        assert main(["spectrum", "--m", "1,2", "--parity", "odd", "--beta-max", "3",
+                     "--out", str(first)]) == 0
+        assert main(["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
+                     "--fd-grid", "256", "--out", str(tmp_path / "cmp.json")]) == 0
+        code, text = run_cli(tmp_path, "spectrum", "--beta-max", "3")
+        assert code == 0
+        records = json.loads(text)["records"]
+        assert [(r["m"], r["parity"]) for r in records] == [(0, "even"), (0, "odd")]
+        code, text = run_cli(tmp_path, "compare", "--m", "0", "--state", "1",
+                             "--rk-steps", "1024")
+        assert code == 0
+        assert sorted(json.loads(text)["beta"]) == ["fourier", "rk"]
+        code, text = run_cli(tmp_path, "spectrum", "--m", "1,2", "--parity", "odd",
+                             "--beta-max", "3")
+        assert text == first.read_text()
 
 
 class TestEmbedCommand:

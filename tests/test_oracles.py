@@ -133,6 +133,28 @@ class TestRkSample:
                    oracles._integrate(ALPHA, 1, 1.663, launch, theta, steps).psi)
             assert value == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("alpha", [0.1, 0.9])
+    def test_batched_legs_equal_the_leg_by_leg_chain(self, parity, m, alpha):
+        # the compare angles, and a mix of both branches, repeats and
+        # legs longer than a half loop, against one _integrate call per leg
+        for thetas in ([2.0 * math.pi * j / 24 for j in range(24)],
+                       [2.0, -2.5, 0.3, -math.pi / 2, 4.0, -4.5, 0.3, -1.0, 7.0]):
+            samples = rk_sample(alpha, m, 2.3, parity, thetas, FAST)
+            expected = {}
+            for outward in (1.0, -1.0):
+                state = oracles._launch(parity)
+                for theta in sorted((t for t in thetas if outward * (t + math.pi / 2) > 0),
+                                    key=lambda t: outward * t):
+                    span = abs(theta - state.theta)
+                    if span > 0.0:
+                        steps = max(2, int(round(1024 * span / math.pi)))
+                        state = oracles._integrate(alpha, m, 2.3, state, theta, steps)
+                    expected[theta] = state.psi
+            for theta, value in samples:
+                assert value == expected.get(theta, oracles._launch(parity).psi)
+
 
 def _scalar_rk4(alpha, m, beta, state, theta_end, steps):
     """Classical RK4 at the nodes theta0 + k h, one step at a time."""
@@ -229,6 +251,39 @@ class TestFdSpectrum:
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             fd_spectrum(alpha, 0, grid_size=64)
 
+    def test_inertia_pass_budget_per_sector(self, monkeypatch):
+        # the sectors are positive semidefinite, so the Sturm search starts
+        # at the spectrum's floor instead of the Gershgorin bound, which
+        # took 15-23 passes for k = 1 and 25-34 for k = 3
+        calls = []
+        inner = oracles._inertia
+
+        def counting(*args):
+            calls.append(args[1])
+            return inner(*args)
+
+        monkeypatch.setattr(oracles, "_inertia", counting)
+        for alpha in (0.1, 0.5, 0.9):
+            for m in (0, 1, 3, 6):
+                for n in (1024, 1026):
+                    for parity in ("even", "odd"):
+                        for k, budget in ((1, 10), (3, 24)):
+                            calls.clear()
+                            oracles._fd_raw(alpha, m, n, parity, k)
+                            assert len(calls) <= budget
+
+    def test_semidefinite_start_keeps_the_constant_mode(self):
+        # the m = 0 even sector's constant mode reads slightly below 0
+        # (-7.5e-12 at 1026 points): the floor sits below it, and the
+        # values match a search from the Gershgorin interval
+        for n in (1024, 1026, 2048):
+            got = oracles._fd_raw(0.5, 0, n, "even", 3)
+            assert abs(got[0]) < 1e-10
+            assert got[1] == pytest.approx(1.1223, abs=1e-3)
+            mirror = _sector_matrix(0.5, 0, n, "even")
+            general = oracles._lowest_eigenvalues(*mirror, 3)
+            assert np.max(np.abs(got - general)) <= 1e-9
+
     def test_memory_is_linear_in_the_grid(self):
         # one dense n/2 x n/2 sector alone would take 8 MB at this grid
         tracemalloc.start()
@@ -238,6 +293,23 @@ class TestFdSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _sector_matrix(alpha, m, n, parity):
+    """(diag, sub) of the symmetric sector matrix that _fd_raw solves."""
+    captured = {}
+
+    def capture(diag, sub, k, **_):
+        captured["matrix"] = diag, sub
+        return np.zeros(0)
+
+    inner = oracles._lowest_eigenvalues
+    oracles._lowest_eigenvalues = capture
+    try:
+        oracles._fd_raw(alpha, m, n, parity, 1)
+    finally:
+        oracles._lowest_eigenvalues = inner
+    return captured["matrix"]
 
 
 def _dense_periodic(alpha, m, n, offset=0.0):
@@ -368,6 +440,24 @@ class TestLowestEigenvalues:
         k = data.draw(st.integers(1, len(diag)))
         dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(sub, -1) + np.diag(sub, 1))
         got = oracles._lowest_eigenvalues(diag, sub, k)
+        norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(sub), initial=0.0)
+        assert got.shape == (k,)
+        assert np.max(np.abs(got - dense[:k])) <= 32 * np.finfo(float).eps * norm
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_tridiagonals(), st.booleans(), st.data())
+    def test_semidefinite_start_matches_dense(self, matrix, singular, data):
+        # a diagonal that dominates its row is positive semidefinite; equal
+        # to the row's off-diagonal sum it is singular, like an FD sector's
+        # constant mode
+        _, sub = matrix
+        radius = np.zeros(len(sub) + 1)
+        radius[1:] += np.abs(sub)
+        radius[:-1] += np.abs(sub)
+        diag = radius if singular else radius + np.abs(matrix[0])
+        k = data.draw(st.integers(1, len(diag)))
+        dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(sub, -1) + np.diag(sub, 1))
+        got = oracles._lowest_eigenvalues(diag, sub, k, semidefinite=True)
         norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(sub), initial=0.0)
         assert got.shape == (k,)
         assert np.max(np.abs(got - dense[:k])) <= 32 * np.finfo(float).eps * norm
