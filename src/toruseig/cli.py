@@ -267,9 +267,6 @@ def _rk_bracket(states, index: int) -> tuple[float, float]:
 
 def cmd_compare(args) -> int:
     methods = args.methods
-    if len(set(methods)) < 2:
-        sys.stderr.write("error: compare needs at least two of fourier, rk, fd\n")
-        return 2
     states = eigensolver.find_eigenvalues(
         args.alpha, ModeSpec(args.m, args.parity), order=args.order,
         beta_max=args.beta_max)
@@ -612,9 +609,19 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
+
+
+def _methods(text: str) -> list[str]:
+    methods = [x for x in text.split(",") if x]
+    bad = [x for x in methods if x not in ("fourier", "rk", "fd")]
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown methods: {', '.join(bad)}")
+    if len(set(methods)) < 2:
+        raise argparse.ArgumentTypeError("compare needs at least two of fourier, rk, fd")
+    return methods
 
 
 def _rk_steps(text: str) -> int:
@@ -685,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--state", type=_state_arg, required=True)
     p.add_argument("--parity", choices=("even", "odd"), default="even")
-    p.add_argument("--methods", type=lambda s: [x for x in s.split(",") if x],
+    p.add_argument("--methods", type=_methods,
                    default=["fourier", "rk"],
                    help="comma-separated subset of fourier,rk,fd")
     p.set_defaults(func=cmd_compare)
@@ -710,10 +717,6 @@ def main(argv: list[str] | None = None) -> int:
         _PARSER = build_parser()
     parser = _PARSER
     args = parser.parse_args(argv)
-    if hasattr(args, "methods"):
-        bad = [x for x in args.methods if x not in ("fourier", "rk", "fd")]
-        if bad:
-            parser.error(f"unknown methods: {', '.join(bad)}")
     try:
         return args.func(args)
     except (oracles.OracleError, ValueError, ArithmeticError) as exc:

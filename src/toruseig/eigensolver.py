@@ -1,32 +1,30 @@
 """Eigenvalue extraction from the coefficient recursions.
 
-Both eigenvalue routes truncate the series, d_N = 0 (and d_{N+1} = 0 where
-five terms couple), and solve the square rows floor..N-1 that remain, built
-by ``_stencil`` from the real rows of ``recursion`` with negative indices
-folded by parity:
+Each sector builds one pencil A + beta B, once, with ``_stencil``: the
+square system of its real rows from ``recursion`` (negative indices folded
+by parity) continued 8 orders past the truncation order N, at beta = 0 and
+beta = 1, as every row is affine in beta (Hill's method).  Truncating at
+order k (d_k = 0, and d_{k+1} = 0 where five terms couple) only drops
+columns, so every order is a leading block of that pencil:
 
-* m = 0: the three-term rows are affine in beta, so they form a tridiagonal
-  pencil (A + beta B) d = 0 (Hill's method).  Its eigenvalues are the roots
-  of the last numerator polynomial from ``coefficient_polynomials``, the
-  paper's eq. (14), which ``roots_warm_started`` takes from each
-  polynomial's companion matrix (plus the exact beta = 0 of the even
-  sector's n = 0 row).
+* N: the m = 0 eigenvalues, from the three-term rows.  They are the roots
+  of the last numerator from ``coefficient_polynomials``, the paper's
+  eq. (14), which ``roots_warm_started`` takes from each polynomial's
+  companion matrix (plus the exact beta = 0 of the even n = 0 row).
+* N+2: every state's order N+2 partner, its nearest real root.
+* N+8: every eigenfunction (``_series``), the smallest right singular
+  vector of A + beta B, cut to d_0..d_N: the minimal solution of the
+  recursion (Gautschi, SIAM Rev. 9 (1967) 24), which forward marching
+  cannot give, as the dominant solution swamps it.
 
-* any m: the five-term rows are singular exactly where the normalized 2x2
-  determinant of (d_N, d_{N+1}) for two marched series crosses zero.
-  Scanning in beta brackets the crossings and bisection refines them.
-
-Every eigenfunction, in every sector, comes from one rule (``_series``): the
-smallest right singular vector of the square stencil continued 8 orders
-past N, cut to d_0..d_N and scaled to max |d| = 1.  That is the minimal
-solution of the recursion (Gautschi, SIAM Rev. 9 (1967) 24), which forward
-marching cannot give, as the dominant solution swamps it.
-
-The marching denominators vanish on beta = k(k+1) (k >= 1 even, k >= 2
-odd), where the determinant changes sign without a root.  The scan steps
-over each pole, evaluating k(k+1) +/- POLE_GAP and never bracketing that
-interval, so every root it finds is a state: none is screened or dropped,
-and ``Eigenpair.converged`` says whether it has stopped moving with N.
+For m != 0 (five-term rows) the order-N eigenvalues come from a scan: the
+rows are singular exactly where the normalized 2x2 determinant of
+(d_N, d_{N+1}) for two marched series crosses zero, which bisection
+refines.  The marching denominators vanish on beta = k(k+1) (k >= 1 even,
+k >= 2 odd), where the determinant changes sign without a root; the scan
+evaluates k(k+1) +/- POLE_GAP and never brackets that interval.  So every
+root found is a state, and ``Eigenpair.converged`` says whether it has
+stopped moving with N.
 """
 
 from __future__ import annotations
@@ -185,13 +183,15 @@ class Eigenpair:
 
 
 def _eigenpair(alpha: float, mode: ModeSpec, series: CoefficientSeries,
-               beta: float, beta_n2: float | None, trivial: bool = False) -> Eigenpair:
-    """The state at ``beta`` with its residual and its N versus N+2 estimate
-    (None where the order N+2 solve found no root)."""
+               beta: float, roots_n2: np.ndarray, trivial: bool = False) -> Eigenpair:
+    """The state at ``beta`` with its residual and its N versus N+2 estimate,
+    against the nearest real one of the order N+2 roots (None if none is real)."""
     res, psi_max = _residual_and_peak(series, alpha, mode, beta)
     beta_by_order = {series.order: beta}
     estimate = None
-    if beta_n2 is not None:
+    real = roots_n2[roots_n2.imag == 0.0].real
+    if real.size:
+        beta_n2 = float(real[np.argmin(np.abs(real - beta))])
         beta_by_order[series.order + 2] = beta_n2
         estimate = abs(beta - beta_n2) * (1.0 + 1e-9) + 1e-14
     diag = EigenDiagnostics(res, res / psi_max if psi_max > 0 else math.inf,
@@ -200,14 +200,11 @@ def _eigenpair(alpha: float, mode: ModeSpec, series: CoefficientSeries,
 
 
 def _bisect_determinant(alpha: float, mode: ModeSpec, order: int, lo: float,
-                        hi: float, flo: float, fhi: float) -> float | None:
-    """Refine a root of ``determinant`` in [lo, hi], given its values there."""
-    if flo == 0.0:
-        return lo
+                        hi: float, flo: float, fhi: float) -> float:
+    """Refine a root of ``determinant`` in [lo, hi], given its values there:
+    flo nonzero and fhi zero or of the other sign."""
     if fhi == 0.0:
         return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        return None
     while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
         fm = determinant(alpha, mode, mid, order)
@@ -218,12 +215,6 @@ def _bisect_determinant(alpha: float, mode: ModeSpec, order: int, lo: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _trivial_eigenpair(alpha: float, order: int) -> Eigenpair:
-    d = (1.0,) + (0.0,) * order
-    series = CoefficientSeries(order=order, m=0, parity="even", d=d)
-    return _eigenpair(alpha, ModeSpec(0, "even"), series, 0.0, 0.0, trivial=True)
 
 
 def _stencil(row, parity: Parity, columns: int) -> np.ndarray:
@@ -249,27 +240,31 @@ def _stencil(row, parity: Parity, columns: int) -> np.ndarray:
     return s
 
 
-def _m0_pencil_eigvals(alpha: float, parity: Parity, order: int) -> np.ndarray:
-    """Eigenvalues of the pencil A + beta B from rows floor..order-1, d_order = 0."""
-    a = _stencil(lambda n: _d_row_three(n, alpha, 0.0), parity, order)
-    b = _stencil(lambda n: _d_row_three(n, alpha, 1.0), parity, order) - a
+def _pencil(row, parity: Parity, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) with A + beta B the stencil of ``row(n, beta)``, which is
+    affine in beta, continued 8 orders past ``order``; the system at order k
+    is the leading block [:k - floor, :k - floor] of both."""
+    a = _stencil(lambda n: row(n, 0.0), parity, order + 8)
+    return a, _stencil(lambda n: row(n, 1.0), parity, order + 8) - a
+
+
+def _block_roots(pencil, parity: Parity, order: int) -> np.ndarray:
+    """Eigenvalues of the pencil's leading block at ``order`` (d_order = 0)."""
+    k = order - (0 if parity == "even" else 1)
+    a, b = (x[:k, :k] for x in pencil)
     return np.linalg.eigvals(np.linalg.solve(b, -a))
 
 
-def _series(alpha: float, mode: ModeSpec, beta: float, order: int) -> CoefficientSeries:
+def _series(pencil, mode: ModeSpec, beta: float, order: int) -> CoefficientSeries:
     """Eigenfunction coefficients at a root, for any sector.
 
-    The smallest right singular vector of the square stencil continued 8
-    orders past the truncation (rows floor..order+7 over d_floor..d_{order+7};
-    three-term rows at m = 0, five-term otherwise), cut to d_0..d_order and
+    The smallest right singular vector of A + beta B over the whole block
+    (rows floor..order+7 over d_floor..d_{order+7}), cut to d_0..d_order and
     scaled to max |d| = 1 with d_floor >= 0.
     """
-    if mode.m == 0:
-        s = _stencil(lambda n: _d_row_three(n, alpha, beta), mode.parity, order + 8)
-    else:
-        s = _stencil(lambda n: _d_row_five(n, alpha, mode.m, beta), mode.parity, order + 8)
+    a, b = pencil
     floor = 0 if mode.parity == "even" else 1
-    v = np.linalg.svd(s)[2][-1][: order + 1 - floor]
+    v = np.linalg.svd(a + beta * b)[2][-1][: order + 1 - floor]
     v = v / (math.copysign(1.0, v[0]) * np.max(np.abs(v)))
     vals = np.concatenate((np.zeros(floor), v))
     return CoefficientSeries(order=order, m=mode.m, parity=mode.parity,
@@ -283,14 +278,16 @@ def _poles(parity: Parity, top: int) -> list[int]:
 
 def _find_m0(alpha: float, mode: ModeSpec, order: int,
              beta_max: float) -> list[Eigenpair]:
-    roots = np.sort(_m0_pencil_eigvals(alpha, mode.parity, order))
+    pencil = _pencil(lambda n, b: _d_row_three(n, alpha, b), mode.parity, order)
+    roots = np.sort(_block_roots(pencil, mode.parity, order))
+    roots_n2 = _block_roots(pencil, mode.parity, order + 2)
+    pairs = []
     if mode.parity == "even":
         # the n = 0 row carries an overall factor beta: its root is the
         # constant mode, which is added exactly
         roots = np.delete(roots, np.argmin(np.abs(roots)))
-    roots_n2 = _m0_pencil_eigvals(alpha, mode.parity, order + 2)
-    roots_n2 = roots_n2[roots_n2.imag == 0.0].real
-    pairs = [_trivial_eigenpair(alpha, order)] if mode.parity == "even" else []
+        series = CoefficientSeries(order=order, m=0, parity="even", d=(1.0,) + (0.0,) * order)
+        pairs.append(_eigenpair(alpha, mode, series, 0.0, np.zeros(1), trivial=True))
     for root in roots:
         beta = float(root.real)
         if beta < 0.0 or beta > beta_max:
@@ -299,8 +296,8 @@ def _find_m0(alpha: float, mode: ModeSpec, order: int,
             raise ArithmeticError(
                 f"non-real pencil root {complex(root):.9g} in m=0 {mode.parity} "
                 f"at order {order}")
-        b2 = float(roots_n2[np.argmin(np.abs(roots_n2 - beta))])
-        pairs.append(_eigenpair(alpha, mode, _series(alpha, mode, beta, order), beta, b2))
+        pairs.append(_eigenpair(alpha, mode, _series(pencil, mode, beta, order),
+                                beta, roots_n2))
     return pairs
 
 
@@ -310,19 +307,21 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
 
     Works for any m (the m = 0 sectors also close under the five-term rows),
     which is how truncation columns of the reference eigenvalue tables are
-    recomputed.  The grid runs from beta = 0 in steps of scan_step and steps
-    over every marching pole k(k+1) of orders N and N+2: it evaluates
-    k(k+1) +/- POLE_GAP and never brackets that interval, and the N+2 search
-    window is clipped at the same poles.  Every root found is accepted, with
-    its eigenfunction from ``_series``, and ``converged`` says whether it
-    has converged.  Returns (accepted, []): nothing is rejected.
+    recomputed.  Only the order-N roots come from the scan, and scan_step
+    only spaces its grid: from beta = 0, stepping over every marching pole
+    k(k+1) of order N (it evaluates k(k+1) +/- POLE_GAP and never brackets
+    that interval).  Every root found is accepted, with its order N+2
+    partner and eigenfunction from the sector's five-term pencil, and
+    ``converged`` says whether it has converged.  Returns (accepted, []).
     """
-    poles = _poles(mode.parity, order + 2)
+    poles = _poles(mode.parity, order)
     steps = [scan_step * k for k in range(int(math.floor(beta_max / scan_step)) + 1)]
     grid = sorted([b for b in steps if all(abs(b - p) > POLE_GAP for p in poles)]
                   + [b for p in poles for b in (p - POLE_GAP, p + POLE_GAP)
                      if b <= beta_max])
     vals = [determinant(alpha, mode, b, order) for b in grid]
+    pencil = _pencil(lambda n, b: _d_row_five(n, alpha, mode.m, b), mode.parity, order)
+    roots_n2 = _block_roots(pencil, mode.parity, order + 2)
     accepted: list[Eigenpair] = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0 or not (math.isfinite(vals[i]) and math.isfinite(vals[i + 1])):
@@ -333,15 +332,8 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
             continue  # a sign change across a pole, not a root
         beta = _bisect_determinant(alpha, mode, order, grid[i], grid[i + 1],
                                    vals[i], vals[i + 1])
-        if beta is None:
-            continue
-        lo2 = max([0.0, beta - 2 * scan_step] + [p + POLE_GAP for p in poles if p < beta])
-        hi2 = min([beta + 2 * scan_step] + [p - POLE_GAP for p in poles if p > beta])
-        b2 = _bisect_determinant(alpha, mode, order + 2, lo2, hi2,
-                                 determinant(alpha, mode, lo2, order + 2),
-                                 determinant(alpha, mode, hi2, order + 2))
-        accepted.append(_eigenpair(alpha, mode, _series(alpha, mode, beta, order),
-                                   beta, b2))
+        accepted.append(_eigenpair(alpha, mode, _series(pencil, mode, beta, order),
+                                   beta, roots_n2))
     return accepted, []
 
 
@@ -349,25 +341,25 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
                      beta_max: float = 25.0) -> list[Eigenpair]:
     """All eigenvalues of one (m, parity) sector up to beta_max.
 
-    m = 0 solves the truncated tridiagonal pencil of its three-term rows
-    (one free seed, so tail-vanishing is a root condition on one
-    polynomial, the pencil's characteristic polynomial); m != 0 scans the
-    normalized determinant in steps of 0.02, stepping over its marching
-    poles, and bisects each sign change to 1e-10.  Every eigenfunction is
-    the smallest right singular vector of the sector's stencil continued 8
-    orders past the truncation, cut to d_0..d_order and scaled to
-    max |d| = 1 with d_floor >= 0.  Results are sorted ascending.  The
-    exact constant mode at beta = 0 (m = 0, even) is included flagged
-    ``trivial``.  No root is dropped: ``Eigenpair.converged`` is the
-    verdict, from the order N versus N+2 estimate in
-    ``diagnostics.convergence_estimate``.
-    A non-real m = 0 pencil root in [0, beta_max] raises ``ArithmeticError``.
+    One pencil A + beta B per sector, of three-term rows at m = 0 and
+    five-term rows otherwise.  m = 0 takes the eigenvalues of its order-N
+    block; m != 0 scans the normalized determinant at order N in steps of
+    0.02, stepping over its marching poles, and bisects each sign change to
+    1e-10.  Each state's order N+2 value is the nearest real root of the
+    N+2 block, and its eigenfunction the smallest right singular vector of
+    the whole block, scaled to max |d| = 1 with d_floor >= 0.  Results are
+    sorted ascending.  The exact constant mode at beta = 0 (m = 0, even) is
+    included flagged ``trivial``.  No root is dropped: ``Eigenpair.converged``
+    is the verdict, from the order N versus N+2 estimate in
+    ``diagnostics.convergence_estimate``.  A non-real m = 0 pencil root in
+    [0, beta_max] raises ``ArithmeticError``, and a non-finite beta_max
+    ``ValueError``.
     """
     _check_alpha(alpha)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if beta_max <= 0:
-        raise ValueError(f"beta_max must be positive, got {beta_max}")
+    if not 0.0 < beta_max < math.inf:
+        raise ValueError(f"beta_max must be positive and finite, got {beta_max}")
     if mode.m == 0:
         return _find_m0(alpha, mode, order, beta_max)
     return determinant_scan(alpha, mode, order, beta_max)[0]

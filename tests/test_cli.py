@@ -32,6 +32,8 @@ class TestExitCodes:
                      ["spectrum", "--m", "1,1", "--order", "4", "--beta-max", "3"],
                      ["spectrum", "--beta-max", "0"],
                      ["spectrum", "--beta-max", "-1"],
+                     ["spectrum", "--m", "1", "--beta-max", "inf", "--order", "4"],
+                     ["spectrum", "--m", "0", "--beta-max", "inf"],
                      ["compare", "--m", "0", "--state", "1", "--rk-steps", "99"],
                      ["repro", "--table", "1", "--rk-steps", "0"],
                      ["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
@@ -51,12 +53,12 @@ class TestExitCodes:
             main(["compare", "--m", "0", "--state", "1", "--methods", "fourier,magic"])
         assert exc.value.code == 2
 
-    def test_single_method_is_usage_error(self, tmp_path):
+    def test_single_method_is_usage_error(self):
         # a repeated method is still one method: nothing would be compared
         for methods in ("fourier", "fourier,fourier"):
-            code = main(["compare", "--m", "0", "--state", "1",
-                         "--methods", methods])
-            assert code == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["compare", "--m", "0", "--state", "1", "--methods", methods])
+            assert exc.value.code == 2
 
     def test_unknown_state_is_exit_1_and_lists_states(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "wavefn", "--m", "0", "--state", "40",
@@ -66,10 +68,10 @@ class TestExitCodes:
         assert "available" in err and "trivial" in err
 
     def test_non_real_pencil_root_is_exit_1(self, tmp_path, monkeypatch, capsys):
-        pencil = eigensolver._m0_pencil_eigvals
-        monkeypatch.setattr(eigensolver, "_m0_pencil_eigvals",
-                            lambda alpha, parity, order:
-                            np.append(pencil(alpha, parity, order), 3.0 + 0.5j))
+        roots = eigensolver._block_roots
+        monkeypatch.setattr(eigensolver, "_block_roots",
+                            lambda pencil, parity, order:
+                            np.append(roots(pencil, parity, order), 3.0 + 0.5j))
         code, _ = run_cli(tmp_path, "spectrum", "--m", "0", "--beta-max", "10")
         assert code == 1
         assert "non-real" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from toruseig.eigensolver import (
     roots_warm_started,
 )
 from toruseig.oracles import fd_spectrum
-from toruseig.recursion import ModeSpec, march_three_safe
+from toruseig.recursion import ModeSpec, _d_row_five, _d_row_three, march_three_safe
 
 ALPHA = 0.5
 
@@ -219,6 +220,9 @@ class TestFindEigenvalues:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_eigenvalues(ALPHA, ModeSpec(0, "even"), beta_max=-1.0)
+        for m in (0, 1):
+            with pytest.raises(ValueError, match="finite"):
+                find_eigenvalues(ALPHA, ModeSpec(m, "even"), beta_max=math.inf)
 
     @pytest.mark.parametrize("m,parity,beta_max", [
         (0, "even", 10.5), (0, "odd", 10.5), (1, "even", 5.5), (5, "even", 16.5),
@@ -232,10 +236,10 @@ class TestFindEigenvalues:
 
     def test_non_real_pencil_root_raises(self, monkeypatch):
         # a non-real root inside the window is reported, never set aside
-        pencil = eigensolver._m0_pencil_eigvals
-        monkeypatch.setattr(eigensolver, "_m0_pencil_eigvals",
-                            lambda alpha, parity, order:
-                            np.append(pencil(alpha, parity, order), 3.0 + 0.5j))
+        roots = eigensolver._block_roots
+        monkeypatch.setattr(eigensolver, "_block_roots",
+                            lambda pencil, parity, order:
+                            np.append(roots(pencil, parity, order), 3.0 + 0.5j))
         for parity in ("even", "odd"):
             with pytest.raises(ArithmeticError, match="non-real"):
                 find_eigenvalues(ALPHA, ModeSpec(0, parity), order=10, beta_max=10.0)
@@ -368,3 +372,59 @@ class TestM0Pencil:
         if order == 40:
             below = sum(b < 9.95 for b in fd)
             assert below <= len(pairs) and all(converged[:below])
+
+
+class TestSectorPencil:
+    # each sector builds one pencil A + beta B at order N + 8; every lower
+    # order is a leading block of it
+
+    @pytest.mark.parametrize("terms,m", [(3, 0), (5, 0), (5, 3)])
+    @pytest.mark.parametrize("parity", ("even", "odd"))
+    @pytest.mark.parametrize("alpha", (0.1, 0.9))
+    @pytest.mark.parametrize("order", (3, 10, 40))
+    def test_leading_block_is_the_lower_order_stencil(self, terms, m, parity, alpha,
+                                                      order):
+        k = order - (0 if parity == "even" else 1)
+        for beta in (0.0, 1.0, 2.345):
+            def row(n):
+                if terms == 3:
+                    return _d_row_three(n, alpha, beta)
+                return _d_row_five(n, alpha, m, beta)
+
+            full = eigensolver._stencil(row, parity, order + 8)
+            assert np.array_equal(full[:k, :k], eigensolver._stencil(row, parity, order))
+
+    def test_order_n2_partner_is_a_zero_of_the_condition(self):
+        # every m != 0 state's N + 2 value, a root of the pencil's N + 2
+        # block, is a sign change of the paper's determinant at N + 2
+        count = 0
+        for alpha, m, parity, order in itertools.product(
+                (0.1, 0.5, 0.9), (1, 3, 6), ("even", "odd"), (10, 20)):
+            mode = ModeSpec(m, parity)
+            for p in find_eigenvalues(alpha, mode, order=order, beta_max=25.0):
+                b2 = p.diagnostics.beta_by_order[order + 2]
+                lo = determinant(alpha, mode, b2 - 1e-7, order + 2)
+                hi = determinant(alpha, mode, b2 + 1e-7, order + 2)
+                assert lo * hi < 0, (alpha, m, parity, order, p.beta, b2)
+                count += 1
+        assert count == 136
+
+    def test_one_stencil_pair_per_sector(self, monkeypatch):
+        builds = []
+        stencil = eigensolver._stencil
+        monkeypatch.setattr(eigensolver, "_stencil",
+                            lambda *a: builds.append(1) or stencil(*a))
+        for m, parity in itertools.product((0, 1, 4), ("even", "odd")):
+            builds.clear()
+            assert find_eigenvalues(0.5, ModeSpec(m, parity), order=10, beta_max=25.0)
+            assert len(builds) == 2
+
+    @pytest.mark.parametrize("m", (0, 2))
+    def test_scan_evaluates_the_determinant_at_order_n_only(self, m, monkeypatch):
+        orders = []
+        det = eigensolver.determinant
+        monkeypatch.setattr(eigensolver, "determinant",
+                            lambda alpha, mode, beta, order:
+                            orders.append(order) or det(alpha, mode, beta, order))
+        accepted, _ = determinant_scan(0.5, ModeSpec(m, "even"), 10, 8.0)
+        assert accepted and set(orders) == {10}

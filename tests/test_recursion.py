@@ -114,9 +114,10 @@ class TestFiveTermRow:
     def test_tail_decays_at_eigenvalue(self):
         # at a converged eigenvalue the truncation is self-consistent: the
         # minimal solution has decayed by d_N
-        from toruseig.eigensolver import _series
+        from toruseig.eigensolver import _pencil, _series
 
-        series = _series(ALPHA, ModeSpec(1, "even"), 0.2493680570, 10)
+        pencil = _pencil(lambda n, b: _d_row_five(n, ALPHA, 1, b), "even", 10)
+        series = _series(pencil, ModeSpec(1, "even"), 0.2493680570, 10)
         assert abs(series.d[10]) / series.max_abs() < 1e-6
         assert abs(series.d[9]) / series.max_abs() < 1e-4
 
