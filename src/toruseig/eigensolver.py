@@ -19,16 +19,18 @@ columns, so every order is a leading block of that pencil:
 
 For m != 0 (five-term rows) the order-N eigenvalues come from a scan: the
 rows are singular exactly where the normalized 2x2 determinant of
-(d_N, d_{N+1}) for two marched series crosses zero, which bisection
-refines.  The marching denominators vanish on beta = k(k+1) (k >= 1 even,
-k >= 2 odd), where the determinant changes sign without a root; the scan
-evaluates k(k+1) +/- POLE_GAP and never brackets that interval.  So every
+(d_N, d_{N+1}) for two series, marched jointly from two seed pairs (one
+pass, each row built once), crosses zero, which bisection refines.  The
+marching denominators vanish on beta = k(k+1) (k >= 1 even, k >= 2 odd),
+where the determinant changes sign without a root; the scan evaluates
+k(k+1) +/- POLE_GAP and never brackets that interval.  So every
 root found is a state, and ``Eigenpair.converged`` says whether it has
 stopped moving with N.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -42,8 +44,9 @@ from .recursion import (
     _check_alpha,
     _d_row_five,
     _d_row_three,
+    _march_five,
+    _march_safe,
     _residual_and_peak,
-    march_five_safe,
 )
 
 DEFAULT_SEEDS = ((1.0, 1.0), (1.0, -1.0))
@@ -139,6 +142,8 @@ def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
                 seeds=DEFAULT_SEEDS) -> float:
     """Normalized tail determinant det[(d_N, d_{N+1}) x (A, B)].
 
+    Columns A and B are the series from the two seed pairs, marched to
+    d_{N+1} in one joint pass, so each five-term row is built once.
     Dividing by the product of column magnitudes makes the value scale-free
     in (-1, 1): rescaling either seed leaves it unchanged, and its zero set
     is independent of the seed basis.  If either column vanishes, 0.0 is
@@ -149,14 +154,14 @@ def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
     (a0, a1), (b0, b1) = seeds
     if a0 * b1 - a1 * b0 == 0.0:
         raise ValueError(f"seed matrix {seeds} is singular")
-    da, _ = march_five_safe(alpha, mode.m, beta, mode.parity, order + 1, (a0, a1))
-    db, _ = march_five_safe(alpha, mode.m, beta, mode.parity, order + 1, (b0, b1))
-    m = np.array([[da[order], db[order]], [da[order + 1], db[order + 1]]])
-    na = math.hypot(m[0, 0], m[1, 0])
-    nb = math.hypot(m[0, 1], m[1, 1])
+    (da, _), (db, _) = _march_safe(
+        lambda b: _march_five(alpha, mode.m, b, mode.parity, order + 1, seeds), beta)
+    a_n, a_n1, b_n, b_n1 = da[order], da[order + 1], db[order], db[order + 1]
+    na = math.hypot(a_n, a_n1)
+    nb = math.hypot(b_n, b_n1)
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float((m[0, 0] * m[1, 1] - m[1, 0] * m[0, 1]) / (na * nb))
+    return (a_n * b_n1 - a_n1 * b_n) / (na * nb)
 
 
 @dataclass(frozen=True)
@@ -276,6 +281,24 @@ def _poles(parity: Parity, top: int) -> list[int]:
     return [k * (k + 1) for k in range(1 if parity == "even" else 2, top + 1)]
 
 
+def _scan_grid(poles: list[int], beta_max: float, scan_step: float) -> list[float]:
+    """The scan's ascending grid: multiples of scan_step up to beta_max, less
+    those within POLE_GAP of a pole, plus p +/- POLE_GAP for each pole p
+    (those up to beta_max).  Each pole looks only at the steps next to it,
+    found by bisection, so the cost is linear in grid and poles."""
+    steps = [scan_step * k for k in range(int(math.floor(beta_max / scan_step)) + 1)]
+    keep = [True] * len(steps)
+    for p in poles:
+        i = bisect.bisect_left(steps, p - 2 * POLE_GAP)
+        while i < len(steps) and steps[i] <= p + 2 * POLE_GAP:
+            if abs(steps[i] - p) <= POLE_GAP:
+                keep[i] = False
+            i += 1
+    return sorted([b for b, k in zip(steps, keep) if k]
+                  + [b for p in poles for b in (p - POLE_GAP, p + POLE_GAP)
+                     if b <= beta_max])
+
+
 def _find_m0(alpha: float, mode: ModeSpec, order: int,
              beta_max: float) -> list[Eigenpair]:
     pencil = _pencil(lambda n, b: _d_row_three(n, alpha, b), mode.parity, order)
@@ -315,10 +338,7 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
     ``converged`` says whether it has converged.  Returns (accepted, []).
     """
     poles = _poles(mode.parity, order)
-    steps = [scan_step * k for k in range(int(math.floor(beta_max / scan_step)) + 1)]
-    grid = sorted([b for b in steps if all(abs(b - p) > POLE_GAP for p in poles)]
-                  + [b for p in poles for b in (p - POLE_GAP, p + POLE_GAP)
-                     if b <= beta_max])
+    grid = _scan_grid(poles, beta_max, scan_step)
     vals = [determinant(alpha, mode, b, order) for b in grid]
     pencil = _pencil(lambda n, b: _d_row_five(n, alpha, mode.m, b), mode.parity, order)
     roots_n2 = _block_roots(pencil, mode.parity, order + 2)
@@ -328,7 +348,8 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
             continue
         if math.copysign(1.0, vals[i]) == math.copysign(1.0, vals[i + 1]):
             continue
-        if any(grid[i] < p < grid[i + 1] for p in poles):
+        j = bisect.bisect_right(poles, grid[i])
+        if j < len(poles) and poles[j] < grid[i + 1]:
             continue  # a sign change across a pole, not a root
         beta = _bisect_determinant(alpha, mode, order, grid[i], grid[i + 1],
                                    vals[i], vals[i + 1])

@@ -17,8 +17,11 @@ Two methods that share no machinery with the Fourier recursion:
   batch of equally long paths, one per row.  An eigenvalue is found by
   Illinois regula falsi on the forward defect (the beta-free p and q at
   the step nodes of its forward and backward path are cached), bisecting
-  whenever the secant point leaves the bracket; the forward/backward
-  consistency check runs once, at the root.  Sampling a trajectory batches
+  whenever the secant point leaves the bracket; the search starts on a
+  narrow window about the bracket's midpoint, as callers centre the
+  bracket on an estimate, and widens to the bracket's ends only when the
+  defect keeps its sign there.  The forward/backward consistency check
+  runs once, at the root.  Sampling a trajectory batches
   its legs by step count.
 
 * A flux-form central finite difference of the self-adjoint form
@@ -220,10 +223,14 @@ def rk_find_eigenvalue(alpha: float, m: int, parity: Parity,
                        config: OracleConfig = OracleConfig()) -> SpectralPoint:
     """Root of the mismatch within the bracket.
 
+    Brackets are centred on an estimate of the root, so the search first
+    tries a window of sqrt(matching_tolerance) * max(1, |mid|) either side
+    of the bracket's midpoint (cut to the bracket), and falls back to the
+    bracket's ends if the defect does not change sign on that window.
     Illinois regula falsi on the forward defect, with a bisection step
-    whenever the secant point leaves the open bracket, until the bracket is
-    narrower than ``matching_tolerance``; ``rk_mismatch`` then checks the
-    forward and backward paths against each other at the root.
+    whenever the secant point leaves the open bracket, runs until the
+    bracket is narrower than ``matching_tolerance``; ``rk_mismatch`` then
+    checks the forward and backward paths against each other at the root.
     """
     _check_parity(parity)
     lo, hi = bracket
@@ -234,15 +241,20 @@ def rk_find_eigenvalue(alpha: float, m: int, parity: Parity,
         end = _integrate(alpha, m, beta, _launch(parity), pi / 2, config.rk_step_count)
         return end.dpsi if parity == "even" else end.psi
 
-    flo, fhi = defect(lo), defect(hi)
-    if flo == 0.0 or fhi == 0.0:
-        beta = lo if flo == 0.0 else hi
-    elif math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+    mid = 0.5 * (lo + hi)
+    half = math.sqrt(config.matching_tolerance) * max(1.0, abs(mid))
+    for a, b in ((max(lo, mid - half), min(hi, mid + half)), (lo, hi)):
+        fa, fb = defect(a), defect(b)
+        if fa == 0.0 or fb == 0.0:
+            beta = a if fa == 0.0 else b
+            break
+        if math.copysign(1.0, fa) != math.copysign(1.0, fb):
+            beta = _illinois(defect, a, b, fa, fb, config.matching_tolerance)
+            break
+    else:
         raise BracketError(
             f"mismatch does not change sign on {bracket} (m={m}, {parity})"
         )
-    else:
-        beta = _illinois(defect, lo, hi, flo, fhi, config.matching_tolerance)
     rk_mismatch(alpha, m, beta, parity, config)
     return SpectralPoint(beta=beta)
 

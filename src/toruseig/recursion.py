@@ -158,50 +158,60 @@ def _march_three(alpha: float, beta: float, parity: Parity, order: int,
 
 
 def _march_five(alpha: float, m: int, beta: float, parity: Parity, order: int,
-                seeds: tuple[float, float]) -> tuple[list[float], float]:
-    """March the general-m recursion in d storage up to d_order.
+                seeds) -> list[tuple[list[float], float]]:
+    """March the general-m recursion in d storage up to d_order, jointly for
+    every seed pair in ``seeds``: one (d, log_scale) per pair, in order.
 
-    Even sector seeds (d_0, d_1); the n = 0 row fixes d_2 and the
-    parity-folded n = 1 row fixes d_3.  Odd sector seeds (d_1, d_2) with
-    d_0 = 0; its n = 0 row is identically zero.
+    Each row comes from one ``_d_row_five`` call and is applied to every
+    column; each column rescales on its own.  A pole depends only on
+    (n, beta), so it stops all the columns at once.  Even sector seeds
+    (d_0, d_1); the n = 0 row fixes d_2 and the parity-folded n = 1 row
+    fixes d_3.  Odd sector seeds (d_1, d_2) with d_0 = 0; its n = 0 row is
+    identically zero.
     """
-    d = [0.0] * (order + 1)
-    log_scale = 0.0
+    cols = [[0.0] * (order + 1) for _ in seeds]
+    scales = [0.0] * len(cols)
     a2 = alpha * alpha
     if parity == "even":
-        d[0], d[1] = seeds
+        for d, (s0, s1) in zip(cols, seeds):
+            d[0], d[1] = s0, s1
         if order >= 2:
             den = -(a2 / 2) * (2.0 - beta)
             if abs(den) < _POLE_EPS:
                 raise _PoleHit(0)
-            d[2] = -(((1 + a2 / 2) * beta - m * m * a2) * d[0]
-                     + alpha * (1 - 2 * beta) * d[1]) / den
+            c0, c1 = (1 + a2 / 2) * beta - m * m * a2, alpha * (1 - 2 * beta)
+            for d in cols:
+                d[2] = -(c0 * d[0] + c1 * d[1]) / den
         if order >= 3:
             am2, am1, a0, ap1, ap2 = _d_row_five(1, alpha, m, beta)
             if abs(ap2) < _POLE_EPS:
                 raise _PoleHit(1)
-            d[3] = -((am2 + a0) * d[1] + am1 * d[0] + ap1 * d[2]) / ap2
+            for d in cols:
+                d[3] = -((am2 + a0) * d[1] + am1 * d[0] + ap1 * d[2]) / ap2
     else:
-        if order >= 1:
-            d[1] = seeds[0]
-        if order >= 2:
-            d[2] = seeds[1]
+        for d, (s0, s1) in zip(cols, seeds):
+            if order >= 1:
+                d[1] = s0
+            if order >= 2:
+                d[2] = s1
         if order >= 3:
             am2, am1, a0, ap1, ap2 = _d_row_five(1, alpha, m, beta)
             if abs(ap2) < _POLE_EPS:
                 raise _PoleHit(1)
-            d[3] = -((a0 - am2) * d[1] + ap1 * d[2]) / ap2
+            for d in cols:
+                d[3] = -((a0 - am2) * d[1] + ap1 * d[2]) / ap2
     for n in range(2, order - 1):
         am2, am1, a0, ap1, ap2 = _d_row_five(n, alpha, m, beta)
         if abs(ap2) < _POLE_EPS:
             raise _PoleHit(n)
-        d[n + 2] = -(am2 * d[n - 2] + am1 * d[n - 1] + a0 * d[n] + ap1 * d[n + 1]) / ap2
-        if abs(d[n + 2]) > RESCALE_THRESHOLD:
-            peak = max(abs(x) for x in d[: n + 3])
-            for k in range(n + 3):
-                d[k] /= peak
-            log_scale += math.log(peak)
-    return d, log_scale
+        for j, d in enumerate(cols):
+            d[n + 2] = -(am2 * d[n - 2] + am1 * d[n - 1] + a0 * d[n] + ap1 * d[n + 1]) / ap2
+            if abs(d[n + 2]) > RESCALE_THRESHOLD:
+                peak = max(abs(x) for x in d[: n + 3])
+                for k in range(n + 3):
+                    d[k] /= peak
+                scales[j] += math.log(peak)
+    return list(zip(cols, scales))
 
 
 def nudge_off_pole(beta: float, attempt: int = 0) -> float:
@@ -226,7 +236,7 @@ def march_three_safe(alpha: float, beta: float, parity: Parity, order: int,
 
 def march_five_safe(alpha: float, m: int, beta: float, parity: Parity, order: int,
                     seeds: tuple[float, float]) -> tuple[list[float], float]:
-    return _march_safe(lambda b: _march_five(alpha, m, b, parity, order, seeds), beta)
+    return _march_safe(lambda b: _march_five(alpha, m, b, parity, order, (seeds,)), beta)[0]
 
 
 def propagate(seeds: float | tuple[float, ...], mode: ModeSpec, alpha: float,

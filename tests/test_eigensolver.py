@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from toruseig import eigensolver
+from toruseig import eigensolver, recursion
 from toruseig.eigensolver import (
+    DEFAULT_SEEDS,
     POLE_GAP,
     coefficient_polynomials,
     determinant,
@@ -15,7 +16,13 @@ from toruseig.eigensolver import (
     roots_warm_started,
 )
 from toruseig.oracles import fd_spectrum
-from toruseig.recursion import ModeSpec, _d_row_five, _d_row_three, march_three_safe
+from toruseig.recursion import (
+    ModeSpec,
+    _d_row_five,
+    _d_row_three,
+    march_five_safe,
+    march_three_safe,
+)
 
 ALPHA = 0.5
 
@@ -23,6 +30,26 @@ ALPHA = 0.5
 TABLE_M0_N10 = [1.122288, 4.051724, 9.041071]
 TABLE_M1_N10 = [0.249368, 1.663015, 4.476692]
 TABLE_M5_N10 = [3.705427, 8.853639, 15.164616]
+
+
+def two_march_determinant(alpha, mode, beta, order):
+    """The normalized determinant from one single-seed march per column."""
+    (a_n, a_n1), (b_n, b_n1) = (
+        march_five_safe(alpha, mode.m, beta, mode.parity, order + 1, s)[0][order:]
+        for s in DEFAULT_SEEDS)
+    na, nb = math.hypot(a_n, a_n1), math.hypot(b_n, b_n1)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return (a_n * b_n1 - a_n1 * b_n) / (na * nb)
+
+
+def comprehension_grid(parity, order, beta_max, scan_step):
+    """The scan grid as a screen of every step against every pole."""
+    poles = eigensolver._poles(parity, order)
+    steps = [scan_step * k for k in range(int(math.floor(beta_max / scan_step)) + 1)]
+    return sorted([b for b in steps if all(abs(b - p) > POLE_GAP for p in poles)]
+                  + [b for p in poles for b in (p - POLE_GAP, p + POLE_GAP)
+                     if b <= beta_max])
 
 
 class TestCoefficientPolynomials:
@@ -130,6 +157,34 @@ class TestDeterminant:
                                        determinant(ALPHA, mode, 1.0, 16),
                                        determinant(ALPHA, mode, 1.3, 16))
         assert abs(poly_root - det_root) < 1e-9
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(alpha=st.floats(min_value=0.01, max_value=0.99),
+           m=st.integers(min_value=1, max_value=9),
+           parity=st.sampled_from(["even", "odd"]),
+           order=st.one_of(st.integers(min_value=2, max_value=40),
+                           st.integers(min_value=80, max_value=400)),
+           beta=st.one_of(st.floats(min_value=0.0, max_value=60.0),
+                          st.integers(min_value=1, max_value=20).map(lambda k: k * (k + 1.0))))
+    @example(alpha=0.1, m=3, parity="even", order=120, beta=7.3)   # both columns rescale
+    @example(alpha=0.3, m=2, parity="odd", order=200, beta=14.1)
+    @example(alpha=0.5, m=1, parity="even", order=10, beta=6.0)    # on a pole: both retry
+    @example(alpha=0.7, m=4, parity="odd", order=200, beta=12.0)
+    def test_joint_march_equals_two_single_marches(self, alpha, m, parity, order, beta):
+        mode = ModeSpec(m, parity)
+        assert determinant(alpha, mode, beta, order) == two_march_determinant(
+            alpha, mode, beta, order)
+
+    @pytest.mark.parametrize("order", (2, 3, 10, 40))
+    @pytest.mark.parametrize("parity", ("even", "odd"))
+    def test_each_row_is_built_once(self, order, parity, monkeypatch):
+        rows = []
+        row = recursion._d_row_five
+        monkeypatch.setattr(recursion, "_d_row_five",
+                            lambda *a: rows.append(a[0]) or row(*a))
+        determinant(ALPHA, ModeSpec(2, parity), 3.3, order)
+        assert len(rows) <= order + 1
+        assert len(rows) == len(set(rows))
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -418,6 +473,17 @@ class TestSectorPencil:
             builds.clear()
             assert find_eigenvalues(0.5, ModeSpec(m, parity), order=10, beta_max=25.0)
             assert len(builds) == 2
+
+    def test_pole_screen_keeps_the_comprehension_grid(self):
+        # beta_max values sit on, just inside and just outside p +/- POLE_GAP,
+        # mostly below the last pole; scan steps of 1 and 0.5 land on poles
+        for parity, order, beta_max, scan_step in itertools.product(
+                ("even", "odd"), (2, 3, 10, 40),
+                (0.5, 2.0, 6.0 - POLE_GAP, 6.0 + POLE_GAP, 12.0 + 2e-6, 25.0, 60.0),
+                (0.02, 0.007, 1 / 3, 0.5, 1.0, 2.5)):
+            poles = eigensolver._poles(parity, order)
+            assert eigensolver._scan_grid(poles, beta_max, scan_step) == \
+                comprehension_grid(parity, order, beta_max, scan_step)
 
     @pytest.mark.parametrize("m", (0, 2))
     def test_scan_evaluates_the_determinant_at_order_n_only(self, m, monkeypatch):

@@ -193,7 +193,7 @@ class TestStepMatrixKernel:
 
     def test_root_search_integration_budget(self, monkeypatch):
         # at most 16 half-loop integrations per root, the final forward /
-        # backward check included
+        # backward check included, and at most 8 from a centred bracket
         calls = []
         inner = oracles._integrate
 
@@ -208,6 +208,12 @@ class TestStepMatrixKernel:
             beta = rk_find_eigenvalue(ALPHA, m, parity, bracket).beta
             assert bracket[0] < beta < bracket[1]
             assert 3 <= len(calls) <= 16
+            # a bracket centred on the root: the search starts at its
+            # midpoint, and 8 integrations suffice
+            calls.clear()
+            centred = rk_find_eigenvalue(ALPHA, m, parity, (beta - 0.1, beta + 0.1)).beta
+            assert abs(centred - beta) <= 1e-10
+            assert 3 <= len(calls) <= 8
 
 
 class TestFdSpectrum:

@@ -11,6 +11,8 @@ from toruseig.recursion import (
     ModeSpec,
     _d_row_five,
     _d_row_three,
+    _march_five,
+    march_five_safe,
     propagate,
     reconstruct,
     residual,
@@ -110,6 +112,15 @@ class TestFiveTermRow:
             series = propagate((1.0, 0.7), ModeSpec(m, parity), ALPHA, 0.9, 14)
             for n in range(0, 12):
                 assert relative_dot(_d_row_five(n, ALPHA, m, 0.9), series, n) < 1e-12
+
+    @pytest.mark.parametrize("parity", ("even", "odd"))
+    def test_joint_march_is_one_march_per_column(self, parity):
+        # at alpha 0.1 and order 120 every column rescales, each on its own
+        seeds = ((1.0, 1.0), (1.0, -1.0), (0.3, 2.0))
+        joint = _march_five(0.1, 3, 7.3, parity, 120, seeds)
+        assert joint == [march_five_safe(0.1, 3, 7.3, parity, 120, s) for s in seeds]
+        assert len({log_scale for _, log_scale in joint}) == 3
+        assert all(log_scale > 0.0 for _, log_scale in joint)
 
     def test_tail_decays_at_eigenvalue(self):
         # at a converged eigenvalue the truncation is self-consistent: the
