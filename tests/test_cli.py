@@ -43,10 +43,23 @@ class TestExitCodes:
                      ["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
                       "--fd-grid", "62"],
                      ["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
-                      "--fd-grid", "2050"]):
+                      "--fd-grid", "2050"],
+                     # the m != 0 tail determinant needs order >= 2
+                     ["spectrum", "--m", "1", "--order", "1"],
+                     ["spectrum", "--m", "0,2", "--order", "1"],
+                     ["wavefn", "--m", "1", "--state", "1", "--order", "1"],
+                     ["compare", "--m", "-1", "--state", "1", "--order", "1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+    def test_order_1_with_m_0_runs(self, tmp_path):
+        code, text = run_cli(tmp_path, "spectrum", "--m", "0", "--order", "1")
+        assert code == 0
+        assert json.loads(text)["records"][0]["eigenvalues"][0]["trivial"] is True
+        code, _ = run_cli(tmp_path, "wavefn", "--m", "0", "--state", "trivial",
+                          "--order", "1")
+        assert code == 0
 
     def test_unknown_method_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -66,6 +79,18 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "available" in err and "trivial" in err
+
+    @pytest.mark.parametrize("state", ["9", "trivial"])
+    def test_compare_and_wavefn_report_a_missing_state_alike(self, tmp_path, capsys,
+                                                             state):
+        errs = []
+        for command in ("wavefn", "compare"):
+            code, _ = run_cli(tmp_path, command, "--m", "1", "--state", state)
+            assert code == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            f"error: no state {state} for m=1 parity=even within beta_max=25.0; "
+            "available: 1, 2, 3, 4, 5\n")
 
     def test_non_real_pencil_root_is_exit_1(self, tmp_path, monkeypatch, capsys):
         roots = eigensolver._block_roots
