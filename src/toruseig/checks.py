@@ -267,7 +267,7 @@ def _table4(table: dict, alpha: float, cfg: oracles.OracleConfig) -> TableReport
     psi = from_series(pair.series, pair.beta, pair.mode)
     k = min(table["series_truncation"], psi.max_harmonic)
     psi = replace(psi, a=psi.a[: k + 1], b=psi.b[: k + 1])
-    fs_scale = _scaled_rows(report, "FS", [(t, float(evaluate(psi, t))) for t in thetas],
+    fs_scale = _scaled_rows(report, "FS", list(zip(thetas, evaluate(psi, thetas).tolist())),
                             table["psi_fs"])
     beta_de = oracles.rk_find_eigenvalue(alpha, state["m"], state["parity"],
                                          tuple(table["de_bracket"]), cfg).beta

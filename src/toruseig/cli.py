@@ -199,7 +199,7 @@ def cmd_wavefn(args) -> int:
         record_out = dict(record)
         record_out["parity"] = args.parity
         thetas = [2.0 * math.pi * j / args.samples for j in range(args.samples)]
-        record_out["samples"] = [[t, float(evaluate(psi, t))] for t in thetas]
+        record_out["samples"] = [[t, v] for t, v in zip(thetas, evaluate(psi, thetas).tolist())]
         _emit(render_json(record_out), args.out)
     else:
         columns = ["alpha", "m", "lambda", "beta", "normalization"]

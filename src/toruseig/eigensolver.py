@@ -149,6 +149,7 @@ def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
     is independent of the seed basis.  If either column vanishes, 0.0 is
     returned.
     """
+    _check_alpha(alpha)
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     (a0, a1), (b0, b1) = seeds
@@ -299,6 +300,14 @@ def _scan_grid(poles: list[int], beta_max: float, scan_step: float) -> list[floa
                      if b <= beta_max])
 
 
+def _check_sector(alpha: float, order: int, beta_max: float) -> None:
+    _check_alpha(alpha)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if not 0.0 < beta_max < math.inf:
+        raise ValueError(f"beta_max must be positive and finite, got {beta_max}")
+
+
 def _find_m0(alpha: float, mode: ModeSpec, order: int,
              beta_max: float) -> list[Eigenpair]:
     pencil = _pencil(lambda n, b: _d_row_three(n, alpha, b), mode.parity, order)
@@ -336,7 +345,9 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
     that interval).  Every root found is accepted, with its order N+2
     partner and eigenfunction from the sector's five-term pencil, and
     ``converged`` says whether it has converged.  Returns (accepted, []).
+    Rejects alpha, order and beta_max as ``find_eigenvalues`` does.
     """
+    _check_sector(alpha, order, beta_max)
     poles = _poles(mode.parity, order)
     grid = _scan_grid(poles, beta_max, scan_step)
     vals = [determinant(alpha, mode, b, order) for b in grid]
@@ -376,11 +387,7 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
     [0, beta_max] raises ``ArithmeticError``, and a non-finite beta_max
     ``ValueError``.
     """
-    _check_alpha(alpha)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if not 0.0 < beta_max < math.inf:
-        raise ValueError(f"beta_max must be positive and finite, got {beta_max}")
+    _check_sector(alpha, order, beta_max)
     if mode.m == 0:
         return _find_m0(alpha, mode, order, beta_max)
     return determinant_scan(alpha, mode, order, beta_max)[0]

@@ -200,6 +200,7 @@ def rk_mismatch(alpha: float, m: int, beta: float, parity: Parity,
     the same physical point and must agree (the reflection about -pi/2 maps
     one path onto the other), which is checked here.
     """
+    _check_alpha(alpha)
     _check_parity(parity)
     fwd = _integrate(alpha, m, beta, _launch(parity), pi / 2, config.rk_step_count)
     bwd = _integrate(alpha, m, beta, _launch(parity), -3 * pi / 2, config.rk_step_count)
@@ -232,6 +233,7 @@ def rk_find_eigenvalue(alpha: float, m: int, parity: Parity,
     bracket is narrower than ``matching_tolerance``; ``rk_mismatch`` then
     checks the forward and backward paths against each other at the root.
     """
+    _check_alpha(alpha)
     _check_parity(parity)
     lo, hi = bracket
     if not lo < hi:
@@ -296,6 +298,7 @@ def rk_sample(alpha: float, m: int, beta: float, parity: Parity,
     out together, in batches of at most one half loop's nodes, and only the
     2x2 products are chained.
     """
+    _check_alpha(alpha)
     launch = _launch(parity)
     values = [launch.psi] * len(thetas)
     legs = []       # (start, end, steps, target) per branch, outward

@@ -164,42 +164,29 @@ def _march_five(alpha: float, m: int, beta: float, parity: Parity, order: int,
 
     Each row comes from one ``_d_row_five`` call and is applied to every
     column; each column rescales on its own.  A pole depends only on
-    (n, beta), so it stops all the columns at once.  Even sector seeds
-    (d_0, d_1); the n = 0 row fixes d_2 and the parity-folded n = 1 row
-    fixes d_3.  Odd sector seeds (d_1, d_2) with d_0 = 0; its n = 0 row is
-    identically zero.
+    (n, beta), so it stops all the columns at once.  A column seeds
+    d_floor and d_floor+1 (floor 0 even, 1 odd, where d_0 = 0 and the n = 0
+    row is identically zero).  Rows floor..1 reach below d_0: their d_-2
+    and d_-1 multipliers fold onto d_2 and d_1 by parity, d_-k = +/- d_k,
+    and then each row fixes d_{n+2} as every later row does.
     """
+    floor = 0 if parity == "even" else 1
+    sign = 1.0 - 2 * floor
     cols = [[0.0] * (order + 1) for _ in seeds]
+    for d, s in zip(cols, seeds):
+        d[floor:floor + 2] = s[:order + 1 - floor]
     scales = [0.0] * len(cols)
-    a2 = alpha * alpha
-    if parity == "even":
-        for d, (s0, s1) in zip(cols, seeds):
-            d[0], d[1] = s0, s1
-        if order >= 2:
-            den = -(a2 / 2) * (2.0 - beta)
-            if abs(den) < _POLE_EPS:
-                raise _PoleHit(0)
-            c0, c1 = (1 + a2 / 2) * beta - m * m * a2, alpha * (1 - 2 * beta)
-            for d in cols:
-                d[2] = -(c0 * d[0] + c1 * d[1]) / den
-        if order >= 3:
-            am2, am1, a0, ap1, ap2 = _d_row_five(1, alpha, m, beta)
-            if abs(ap2) < _POLE_EPS:
-                raise _PoleHit(1)
-            for d in cols:
-                d[3] = -((am2 + a0) * d[1] + am1 * d[0] + ap1 * d[2]) / ap2
-    else:
-        for d, (s0, s1) in zip(cols, seeds):
-            if order >= 1:
-                d[1] = s0
-            if order >= 2:
-                d[2] = s1
-        if order >= 3:
-            am2, am1, a0, ap1, ap2 = _d_row_five(1, alpha, m, beta)
-            if abs(ap2) < _POLE_EPS:
-                raise _PoleHit(1)
-            for d in cols:
-                d[3] = -((a0 - am2) * d[1] + ap1 * d[2]) / ap2
+    for n in range(floor, min(2, order - 1)):
+        am2, am1, a0, ap1, ap2 = _d_row_five(n, alpha, m, beta)
+        if n == 0:  # d_-2, d_-1 onto d_2, d_1 (an even row: the odd one is zero)
+            ap1, ap2 = ap1 + am1, ap2 + am2
+        else:  # d_-1 onto d_1
+            a0 += sign * am2
+        if abs(ap2) < _POLE_EPS:
+            raise _PoleHit(n)
+        for d in cols:  # the floor row has no d_{n-1}: folded, or odd's d_0 = 0
+            low = a0 * d[n] if n == floor else am1 * d[n - 1] + a0 * d[n]
+            d[n + 2] = -(low + ap1 * d[n + 1]) / ap2
     for n in range(2, order - 1):
         am2, am1, a0, ap1, ap2 = _d_row_five(n, alpha, m, beta)
         if abs(ap2) < _POLE_EPS:
@@ -219,11 +206,11 @@ def nudge_off_pole(beta: float, attempt: int = 0) -> float:
     return beta + (1.0 + abs(beta)) * 1e-12 * (1024.0 ** attempt)
 
 
-def _march_safe(march, beta: float, *args):
+def _march_safe(march, beta: float):
     b = beta
     for attempt in range(4):
         try:
-            return march(b, *args)
+            return march(b)
         except _PoleHit:
             b = nudge_off_pole(beta, attempt)
     raise ArithmeticError(f"marching failed near beta = {beta}")

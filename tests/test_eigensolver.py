@@ -52,6 +52,30 @@ def comprehension_grid(parity, order, beta_max, scan_step):
                      if b <= beta_max])
 
 
+# determinant(alpha, ModeSpec(m, parity), beta, order), bit for bit
+PINNED_DETERMINANTS = [
+    (0.5, 1, "even", 2.0, 10, 1.7543751854565962e-13),
+    (0.5, 1, "even", 6.0, 10, 8.351500019927546e-14),
+    (0.5, 2, "odd", 6.0, 10, 4.489588620621141e-14),
+    (0.5, 1, "odd", 2.0, 3, 0.15185341405478064),
+    (0.5, 0, "odd", 12.0, 4, 8.717875557994005e-14),
+    (0.3, 0, "even", 0.0, 10, 0.0),
+    (0.5, 0, "even", 1.1222882712, 10, 1.7837086659669544e-12),
+    (0.5, 1, "even", 0.249368057, 10, 1.9899357898943065e-11),
+    (0.1, 3, "even", 7.3, 2, -0.0008117948115183573),
+    (0.9, 4, "odd", 13.7, 2, -0.07231624926408055),
+    (0.7, 6, "even", 25.0, 3, 0.006667032403752028),
+    (0.9, 1, "odd", 1.3, 3, -0.6190214086254945),
+    (0.05, 5, "odd", 123.4, 20, -7.438578918909034e-07),
+    (0.99, 2, "even", 30.0, 40, 6.470088690683059e-13),
+    (0.551591, 7, "odd", 1999.5, 80, 2.1692480547544968e-09),
+]
+
+
+class _TooManyCalls(Exception):
+    pass
+
+
 class TestCoefficientPolynomials:
     def test_degree_grows_by_one(self):
         polys = coefficient_polynomials(ALPHA, "even", 12)
@@ -194,6 +218,17 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant(ALPHA, ModeSpec(1, "even"), 1.0, 8,
                         seeds=((1.0, 1.0), (2.0, 2.0)))
+
+    @pytest.mark.parametrize("alpha", (1.5, -0.2, 0.0))
+    def test_alpha_validation(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            determinant(alpha, ModeSpec(1, "even"), 0.3, 10)
+
+    @pytest.mark.parametrize("alpha,m,parity,beta,order,value", PINNED_DETERMINANTS)
+    def test_values_are_pinned(self, alpha, m, parity, beta, order, value):
+        # exact floats, poles (2, 6, 12) and orders 2 and 3 included: the
+        # march's parity-folded rows 0 and 1 must not move a single bit
+        assert repr(determinant(alpha, ModeSpec(m, parity), beta, order)) == repr(value)
 
 
 class TestFindEigenvalues:
@@ -484,6 +519,35 @@ class TestSectorPencil:
             poles = eigensolver._poles(parity, order)
             assert eigensolver._scan_grid(poles, beta_max, scan_step) == \
                 comprehension_grid(parity, order, beta_max, scan_step)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"beta_max": -3.0}, "beta_max must be positive and finite"),
+        ({"beta_max": math.nan}, "beta_max must be positive and finite"),
+        ({"alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
+        ({"order": 0}, "order must be >= 1"),
+    ], ids=("negative_beta_max", "nan_beta_max", "zero_alpha", "zero_order"))
+    def test_scan_validation(self, kwargs, match):
+        args = {"alpha": ALPHA, "mode": ModeSpec(1, "even"), "order": 10, "beta_max": 5.0}
+        with pytest.raises(ValueError, match=match):
+            determinant_scan(**(args | kwargs))
+
+    @pytest.mark.xfail(strict=True, raises=_TooManyCalls,
+                       reason="the scan's grid grows with beta_max / scan_step whatever "
+                              "the order: 500,001 points at beta_max = 1e4 (ROADMAP item 2)")
+    def test_scan_work_is_bounded_by_the_order(self, monkeypatch):
+        # an order-4 sector has at most a handful of roots; its scan should
+        # not need 10^4 determinant evaluations however large beta_max is
+        calls = []
+        det = eigensolver.determinant
+
+        def counted(*args):
+            calls.append(None)
+            if len(calls) >= 10**4:
+                raise _TooManyCalls
+            return det(*args)
+
+        monkeypatch.setattr(eigensolver, "determinant", counted)
+        find_eigenvalues(0.5, ModeSpec(1, "even"), order=4, beta_max=1e4)
 
     @pytest.mark.parametrize("m", (0, 2))
     def test_scan_evaluates_the_determinant_at_order_n_only(self, m, monkeypatch):

@@ -48,6 +48,11 @@ class TestRkMismatch:
         hi = rk_mismatch(ALPHA, 0, 1.3, "even", FAST)
         assert lo * hi < 0
 
+    @pytest.mark.parametrize("alpha", (1.5, -0.2))
+    def test_alpha_validation(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            rk_mismatch(alpha, 1, 0.25, "even", FAST)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(rk_step_count=10)
@@ -62,6 +67,12 @@ class TestRkFindEigenvalue:
     def test_odd_sector(self):
         beta = rk_find_eigenvalue(ALPHA, 0, "odd", (0.9, 1.05), FAST).beta
         assert beta == pytest.approx(0.976731, abs=5e-6)
+
+    @pytest.mark.parametrize("alpha", (1.5, -0.2))
+    def test_alpha_validation(self, alpha):
+        # names alpha, where an unchecked search reports a BracketError
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            rk_find_eigenvalue(alpha, 1, "even", (0.2, 0.3), FAST)
 
     def test_bracket_failure_is_explicit(self):
         with pytest.raises(BracketError):
@@ -83,6 +94,11 @@ class TestRkFindEigenvalue:
 
 
 class TestRkSample:
+    @pytest.mark.parametrize("alpha", (1.5, -0.2))
+    def test_alpha_validation(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            rk_sample(alpha, 1, 0.25, "even", [0.1, 0.2], FAST)
+
     def test_odd_parity_node_is_exact(self):
         samples = rk_sample(ALPHA, 0, 0.976731, "odd", [-math.pi / 2], FAST)
         assert samples[0][1] == 0.0

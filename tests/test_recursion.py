@@ -106,12 +106,21 @@ class TestFiveTermRow:
         for n in range(0, 12):
             assert relative_dot(_d_row_five(n, ALPHA, 0, 1.3), series, n) < 1e-12
 
-    def test_rows_annihilate_propagated_series(self):
-        # includes the parity-folded rows at n = 0, 1 that fix the low seeds
-        for m, parity in ((1, "even"), (1, "odd"), (5, "even")):
-            series = propagate((1.0, 0.7), ModeSpec(m, parity), ALPHA, 0.9, 14)
-            for n in range(0, 12):
-                assert relative_dot(_d_row_five(n, ALPHA, m, 0.9), series, n) < 1e-12
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(alpha=st.floats(min_value=0.01, max_value=0.99),
+           m=st.integers(min_value=0, max_value=6),
+           parity=st.sampled_from(("even", "odd")),
+           order=st.integers(min_value=3, max_value=40),
+           beta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=30.0)))
+    def test_rows_annihilate_propagated_series(self, alpha, m, parity, order, beta):
+        # every row the march solves, the parity-folded rows n = 0, 1 that
+        # fix the low coefficients included, holds to rounding
+        assume(all(abs(beta - k * (k + 1)) >= 1e-6 for k in range(1, order + 2)))
+        d, log_scale = march_five_safe(alpha, m, beta, parity, order, (1.0, 0.7))
+        series = CoefficientSeries(order=order, m=m, parity=parity, d=tuple(d),
+                                   log_scale=log_scale)
+        for n in range(order - 1):
+            assert relative_dot(_d_row_five(n, alpha, m, beta), series, n) < 1e-12
 
     @pytest.mark.parametrize("parity", ("even", "odd"))
     def test_joint_march_is_one_march_per_column(self, parity):
