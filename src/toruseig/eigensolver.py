@@ -7,10 +7,11 @@ beta = 1, as every row is affine in beta (Hill's method).  Truncating at
 order k (d_k = 0, and d_{k+1} = 0 where five terms couple) only drops
 columns, so every order is a leading block of that pencil:
 
-* N: the m = 0 eigenvalues, from the three-term rows.  They are the roots
-  of the last numerator from ``coefficient_polynomials``, the paper's
-  eq. (14), which ``roots_warm_started`` takes from each polynomial's
-  companion matrix (plus the exact beta = 0 of the even n = 0 row).
+* N: the m = 0 eigenvalues, from the three-term rows.  The numerator of
+  d_k (``coefficient_polynomials``) vanishes exactly where the order-k
+  block is singular, so its roots lambda^i_k, the paper's eq. (14), are
+  that block's eigenvalues (less the exact beta = 0 of the even n = 0
+  row); ``roots_warm_started`` returns them for every k up to N.
 * N+2: every state's order N+2 partner, its nearest real root.
 * N+8: every eigenfunction (``_series``), the smallest right singular
   vector of A + beta B, cut to d_0..d_N: the minimal solution of the
@@ -33,7 +34,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -98,7 +98,8 @@ def coefficient_polynomials(alpha: float, parity: Parity, order: int) -> list[Be
     Denominators are cleared against the product of leading row multipliers
     prod_{k<n} [k(k+1) - beta], so evaluating the n-th polynomial and dividing
     by that product reproduces the marched d_n.  Degree grows by one per
-    index: deg(q_n) = n - 1.
+    index: deg(q_n) = n - 1.  Raises ``OverflowError``, naming n, once a
+    coefficient of q_n is not finite (from n of about 75 at alpha = 0.1).
     """
     _check_alpha(alpha)
     if order < 1:
@@ -118,7 +119,11 @@ def coefficient_polynomials(alpha: float, parity: Parity, order: int) -> list[Be
     for n in range(2, order):
         tm, t0, _ = rows[n]
         lead = rows[n - 1][2]
-        q.append(-(np.convolve(np.convolve(tm, lead), q[n - 1]) + np.convolve(t0, q[n])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q.append(-(np.convolve(np.convolve(tm, lead), q[n - 1]) + np.convolve(t0, q[n])))
+        if not np.isfinite(q[n + 1]).all():
+            raise OverflowError(f"the numerator of d_{n + 1} has a coefficient past "
+                                f"float range (alpha {alpha}, {parity})")
     return [
         BetaPolynomial(coefficients=tuple(float(c) for c in q[n]),
                        source_index=n, parity=parity)
@@ -126,16 +131,20 @@ def coefficient_polynomials(alpha: float, parity: Parity, order: int) -> list[Be
     ]
 
 
-def roots_warm_started(polys: Sequence[BetaPolynomial]) -> list[list[float]]:
-    """Real roots of each polynomial, from its companion matrix (``np.roots``).
+def roots_warm_started(alpha: float, parity: Parity, order: int) -> list[list[float]]:
+    """The roots lambda^i_k of the numerators of d_1 .. d_order, the paper's
+    eq. (14), for the m = 0 recursion.
 
-    One ascending list per polynomial, in the order given; a root counts as
-    real when its imaginary part is exactly 0.  Entry [j][i] of the lists of
-    ``coefficient_polynomials(alpha, parity, N)`` is lambda^{i+1}_{j+1}, the
-    paper's eq. (14).
+    Entry k - 1 holds the k - 1 eigenvalues, ascending, of the order-k
+    leading block of the sector's three-term pencil, which is singular
+    exactly where the numerator of d_k vanishes; the exact beta = 0 of the
+    even n = 0 row is left out.  A non-real root raises ``ArithmeticError``.
     """
-    return [sorted(float(r.real) for r in np.roots(p.coefficients[::-1]) if r.imag == 0.0)
-            for p in polys]
+    _check_alpha(alpha)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    pencil = _pencil(lambda n, b: _d_row_three(n, alpha, b), parity, order)
+    return [_m0_roots(pencil, parity, k).tolist() for k in range(1, order + 1)]
 
 
 def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
@@ -261,6 +270,23 @@ def _block_roots(pencil, parity: Parity, order: int) -> np.ndarray:
     return np.linalg.eigvals(np.linalg.solve(b, -a))
 
 
+def _m0_roots(pencil, parity: Parity, order: int) -> np.ndarray:
+    """The m = 0 pencil's block roots at ``order``, sorted and real.
+
+    The even n = 0 row carries an overall factor beta: its root is the
+    constant mode, which is left out.  A non-real root raises
+    ``ArithmeticError``, as the m = 0 problem is self-adjoint.
+    """
+    roots = np.sort(_block_roots(pencil, parity, order))
+    if parity == "even":
+        roots = np.delete(roots, np.argmin(np.abs(roots)))
+    bad = roots[roots.imag != 0.0]
+    if bad.size:
+        raise ArithmeticError(
+            f"non-real pencil root {complex(bad[0]):.9g} in m=0 {parity} at order {order}")
+    return roots.real
+
+
 def _series(pencil, mode: ModeSpec, beta: float, order: int) -> CoefficientSeries:
     """Eigenfunction coefficients at a root, for any sector.
 
@@ -311,23 +337,17 @@ def _check_sector(alpha: float, order: int, beta_max: float) -> None:
 def _find_m0(alpha: float, mode: ModeSpec, order: int,
              beta_max: float) -> list[Eigenpair]:
     pencil = _pencil(lambda n, b: _d_row_three(n, alpha, b), mode.parity, order)
-    roots = np.sort(_block_roots(pencil, mode.parity, order))
-    roots_n2 = _block_roots(pencil, mode.parity, order + 2)
+    roots = _m0_roots(pencil, mode.parity, order)
+    roots_n2 = _m0_roots(pencil, mode.parity, order + 2)
     pairs = []
     if mode.parity == "even":
-        # the n = 0 row carries an overall factor beta: its root is the
-        # constant mode, which is added exactly
-        roots = np.delete(roots, np.argmin(np.abs(roots)))
+        # the constant mode, added exactly
         series = CoefficientSeries(order=order, m=0, parity="even", d=(1.0,) + (0.0,) * order)
         pairs.append(_eigenpair(alpha, mode, series, 0.0, np.zeros(1), trivial=True))
     for root in roots:
-        beta = float(root.real)
+        beta = float(root)
         if beta < 0.0 or beta > beta_max:
             continue
-        if root.imag != 0.0:
-            raise ArithmeticError(
-                f"non-real pencil root {complex(root):.9g} in m=0 {mode.parity} "
-                f"at order {order}")
         pairs.append(_eigenpair(alpha, mode, _series(pencil, mode, beta, order),
                                 beta, roots_n2))
     return pairs
@@ -383,8 +403,8 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
     sorted ascending.  The exact constant mode at beta = 0 (m = 0, even) is
     included flagged ``trivial``.  No root is dropped: ``Eigenpair.converged``
     is the verdict, from the order N versus N+2 estimate in
-    ``diagnostics.convergence_estimate``.  A non-real m = 0 pencil root in
-    [0, beta_max] raises ``ArithmeticError``, and a non-finite beta_max
+    ``diagnostics.convergence_estimate``.  A non-real m = 0 pencil root at
+    order N or N+2 raises ``ArithmeticError``, and a non-finite beta_max
     ``ValueError``.
     """
     _check_sector(alpha, order, beta_max)

@@ -43,6 +43,13 @@ def two_march_determinant(alpha, mode, beta, order):
     return (a_n * b_n1 - a_n1 * b_n) / (na * nb)
 
 
+def d_changes_sign(alpha, parity, order, beta):
+    """Whether the marched d_order changes sign across beta +/- 1e-9 max(1, beta)."""
+    h = 1e-9 * max(1.0, beta)
+    lo, hi = (march_three_safe(alpha, b, parity, order)[0][order] for b in (beta - h, beta + h))
+    return lo * hi < 0.0
+
+
 def comprehension_grid(parity, order, beta_max, scan_step):
     """The scan grid as a screen of every step against every pole."""
     poles = eigensolver._poles(parity, order)
@@ -103,15 +110,13 @@ class TestCoefficientPolynomials:
             assert expected == pytest.approx(d[n], rel=1e-10, abs=1e-12)
 
     def test_even_n10_roots_cover_reference_values(self):
-        polys = coefficient_polynomials(ALPHA, "even", 10)
-        roots = roots_warm_started(polys)[-1]
+        roots = roots_warm_started(ALPHA, "even", 10)[-1]
         for ref in TABLE_M0_N10:
             assert min(abs(r - ref) for r in roots) < 5e-6
 
     def test_low_order_root_set_is_small(self):
         # the order-3 numerator has degree 2: two roots, no third state yet
-        polys = coefficient_polynomials(ALPHA, "even", 3)
-        roots = roots_warm_started(polys)[-1]
+        roots = roots_warm_started(ALPHA, "even", 3)[-1]
         assert len(roots) == 2
         assert roots == pytest.approx([1.123791, 4.106978], abs=5e-6)
 
@@ -121,28 +126,55 @@ class TestCoefficientPolynomials:
         with pytest.raises(ValueError):
             coefficient_polynomials(ALPHA, "even", 0)
 
+    def test_overflow_raises(self):
+        # the coefficients pass float range at d_75 (alpha 0.1); no NaN
+        # polynomial and no RuntimeWarning
+        with pytest.raises(OverflowError, match="d_75"):
+            coefficient_polynomials(0.1, "even", 80)
+
 
 class TestRootsWarmStarted:
     def test_degree_zero_guard(self):
-        polys = coefficient_polynomials(ALPHA, "even", 1)
-        assert roots_warm_started(polys) == [[]]
+        assert roots_warm_started(ALPHA, "even", 1) == [[]]
 
     def test_ground_state_trajectory(self):
-        polys = coefficient_polynomials(ALPHA, "even", 10)
-        roots = roots_warm_started(polys)
+        roots = roots_warm_started(ALPHA, "even", 10)
         assert roots[2][0] == pytest.approx(1.1237908, abs=5e-6)
         assert roots[4][0] == pytest.approx(1.1222961, abs=5e-6)
         assert roots[9][0] == pytest.approx(1.1222883, abs=5e-6)
 
     def test_rows_sorted_ascending(self):
-        polys = coefficient_polynomials(ALPHA, "odd", 10)
-        for betas in roots_warm_started(polys):
+        for betas in roots_warm_started(ALPHA, "odd", 10):
             assert betas == sorted(betas)
 
     def test_newest_root_tracks_square_of_previous_index(self):
-        polys = coefficient_polynomials(ALPHA, "even", 12)
-        final = roots_warm_started(polys)[-1]
+        final = roots_warm_started(ALPHA, "even", 12)[-1]
         assert final[-1] == pytest.approx(121.41, abs=5e-3)  # near (12 - 1)^2
+
+    @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9, 0.99))
+    @pytest.mark.parametrize("parity", ("even", "odd"))
+    def test_eq14_roots_to_order_120(self, alpha, parity):
+        # entry k holds the k - 1 real roots of the d_k numerator, ascending;
+        # the marched d_k changes sign across each, and each root does not
+        # rise with k (the paper's warm start)
+        roots = roots_warm_started(alpha, parity, 120)
+        assert len(roots) == 120
+        for k, lams in enumerate(roots, start=1):
+            assert len(lams) == k - 1
+            assert all(type(x) is float for x in lams)
+            assert lams == sorted(lams)
+        for k in (20, 60, 120):
+            for lam in roots[k - 1]:
+                assert d_changes_sign(alpha, parity, k, lam)
+        for prev, cur in zip(roots, roots[1:]):
+            for lam_prev, lam in zip(prev, cur):
+                assert lam <= lam_prev * (1.0 + 1e-10)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            roots_warm_started(1.2, "even", 5)
+        with pytest.raises(ValueError):
+            roots_warm_started(ALPHA, "even", 0)
 
 
 class TestDeterminant:
@@ -174,8 +206,7 @@ class TestDeterminant:
         # converged truncation: both routes must agree to 1e-9
         from toruseig.eigensolver import _bisect_determinant
 
-        polys = coefficient_polynomials(ALPHA, "even", 16)
-        poly_root = min(roots_warm_started(polys)[-1])
+        poly_root = min(roots_warm_started(ALPHA, "even", 16)[-1])
         mode = ModeSpec(0, "even")
         det_root = _bisect_determinant(ALPHA, mode, 16, 1.0, 1.3,
                                        determinant(ALPHA, mode, 1.0, 16),
@@ -333,6 +364,8 @@ class TestFindEigenvalues:
         for parity in ("even", "odd"):
             with pytest.raises(ArithmeticError, match="non-real"):
                 find_eigenvalues(ALPHA, ModeSpec(0, parity), order=10, beta_max=10.0)
+            with pytest.raises(ArithmeticError, match="non-real"):
+                roots_warm_started(ALPHA, parity, 10)
 
     def test_converged_is_the_order_n_versus_n2_rule(self):
         # the sweep's sectors at order 10, where both verdicts occur: the
@@ -419,9 +452,8 @@ PENCIL_ORDERS = (10, 20, 40)
 
 class TestM0Pencil:
     # the pencil's eigenvalues are the roots of the order-N numerator
-    # polynomial, here taken independently from its companion matrix; they
-    # are compared below beta = 25 because above ~36 the polynomial's roots
-    # lose digits at N >= 20
+    # polynomial, eq. (14): the marched d_N, an independent route, changes
+    # sign across each
 
     @pytest.mark.parametrize("alpha", PENCIL_ALPHAS)
     @pytest.mark.parametrize("order", PENCIL_ORDERS)
@@ -430,10 +462,11 @@ class TestM0Pencil:
         pairs = find_eigenvalues(alpha, ModeSpec(0, parity), order=order,
                                  beta_max=25.0)
         betas = [p.beta for p in pairs if not p.trivial]
-        polys = coefficient_polynomials(alpha, parity, order)
-        roots = [b for b in roots_warm_started(polys)[-1] if b <= 25.0]
+        roots = [b for b in roots_warm_started(alpha, parity, order)[-1] if b <= 25.0]
         assert len(betas) == len(roots)
         assert betas == pytest.approx(roots, abs=1e-9)
+        for beta in roots:
+            assert d_changes_sign(alpha, parity, order, beta)
 
     @pytest.mark.parametrize("alpha", PENCIL_ALPHAS)
     @pytest.mark.parametrize("parity", ("even", "odd"))
