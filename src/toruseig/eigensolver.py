@@ -22,11 +22,12 @@ For m != 0 (five-term rows) the order-N eigenvalues come from a scan: the
 rows are singular exactly where the normalized 2x2 determinant of
 (d_N, d_{N+1}) for two series, marched jointly from two seed pairs (one
 pass, each row built once), crosses zero, which bisection refines.  The
-marching denominators vanish on beta = k(k+1) (k >= 1 even, k >= 2 odd),
-where the determinant changes sign without a root; the scan evaluates
-k(k+1) +/- POLE_GAP and never brackets that interval.  So every
-root found is a state, and ``Eigenpair.converged`` says whether it has
-stopped moving with N.
+marching denominators vanish on the poles beta = k(k+1) (k >= 1 even,
+k >= 2 odd; ``recursion._poles``), which the march itself steps off by
+(1 + beta) 1e-12.  The determinant changes sign there without a root; the
+scan evaluates k(k+1) +/- POLE_GAP and never brackets that interval.  So
+every root found is a state, and ``Eigenpair.converged`` says whether it
+has stopped moving with N.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .recursion import (
     _d_row_five,
     _d_row_three,
     _march_five,
-    _march_safe,
+    _poles,
     _residual_and_peak,
 )
 
@@ -156,7 +157,7 @@ def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
     Dividing by the product of column magnitudes makes the value scale-free
     in (-1, 1): rescaling either seed leaves it unchanged, and its zero set
     is independent of the seed basis.  If either column vanishes, 0.0 is
-    returned.
+    returned.  A non-finite beta raises ``ValueError``.
     """
     _check_alpha(alpha)
     if order < 2:
@@ -164,8 +165,7 @@ def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
     (a0, a1), (b0, b1) = seeds
     if a0 * b1 - a1 * b0 == 0.0:
         raise ValueError(f"seed matrix {seeds} is singular")
-    (da, _), (db, _) = _march_safe(
-        lambda b: _march_five(alpha, mode.m, b, mode.parity, order + 1, seeds), beta)
+    (da, _), (db, _) = _march_five(alpha, mode.m, beta, mode.parity, order + 1, seeds)
     a_n, a_n1, b_n, b_n1 = da[order], da[order + 1], db[order], db[order + 1]
     na = math.hypot(a_n, a_n1)
     nb = math.hypot(b_n, b_n1)
@@ -301,11 +301,6 @@ def _series(pencil, mode: ModeSpec, beta: float, order: int) -> CoefficientSerie
     vals = np.concatenate((np.zeros(floor), v))
     return CoefficientSeries(order=order, m=mode.m, parity=mode.parity,
                              d=tuple(float(x) for x in vals), log_scale=0.0)
-
-
-def _poles(parity: Parity, top: int) -> list[int]:
-    """Marching poles k(k+1), k = 1 (even) or 2 (odd) up to top."""
-    return [k * (k + 1) for k in range(1 if parity == "even" else 2, top + 1)]
 
 
 def _scan_grid(poles: list[int], beta_max: float, scan_step: float) -> list[float]:

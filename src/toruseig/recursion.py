@@ -24,6 +24,11 @@ coefficient of w E[psi], and row n of ``_d_row_five`` the n-th coefficient
 of w^2 E[psi], each divided by the same power of i as d_n.  The tests verify
 this by projection, against an FFT of the equation evaluated on a grid.
 
+A march solves each row for its top coefficient, dividing by the row's
+leading multiplier.  That vanishes on the poles beta = k(k+1), which the
+march steps off once (``_off_pole``), and each new coefficient past
+RESCALE_THRESHOLD rescales its column (``_rescale``).
+
 Since psi is real, c_{-k} = conj(c_k): psi = a_0 + sum_k a_k cos(k theta)
 + b_k sin(k theta) with a_0 = d_0, a_k = 2 Re c_k and b_k = -2 Im c_k
 (``_trig_coefficients``), and ``_trig_sum`` evaluates that sum.
@@ -40,7 +45,6 @@ import numpy as np
 Parity = Literal["even", "odd"]
 
 RESCALE_THRESHOLD = 1e100
-_POLE_EPS = 1e-280
 _TABLE_SIZE = 1 << 14
 
 __all__ = [
@@ -108,10 +112,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-class _PoleHit(Exception):
-    """A marching denominator vanished; beta sits on k(k+1) for some k."""
-
-
 def _d_row_three(n: int, alpha: float, beta: float) -> tuple[float, float, float]:
     # real-storage row: tm*d_{n-1} + t0*d_n + tp*d_{n+1} = 0
     tm = -(beta - n * (n - 1))
@@ -130,9 +130,48 @@ def _d_row_five(n: int, alpha: float, m: int, beta: float):
     return am2, am1, a0, ap1, ap2
 
 
-def _march_three(alpha: float, beta: float, parity: Parity, order: int,
-                 seed: float) -> tuple[list[float], float]:
-    """March the m = 0 recursion in d storage up to d_order."""
+def _poles(parity: Parity, top: int) -> list[int]:
+    """Marching poles k(k+1), k = 1 (even) or 2 (odd) up to top: the betas
+    where a five-term march to top + 1 divides by zero."""
+    return [k * (k + 1) for k in range(1 if parity == "even" else 2, top + 1)]
+
+
+def _off_pole(beta: float, first: int, last: int) -> float:
+    """beta, moved up by (1 + beta) 1e-12 if it is one of a march's poles
+    k(k+1), first <= k <= last, where one of its rows divides by zero.
+
+    Off the exact poles no divisor vanishes, since k(k+1) - beta is nonzero
+    in floating point, until alpha^2 times it underflows (alpha ~ 1e-154).
+    Rejects a non-finite beta.
+    """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    k = math.isqrt(int(beta)) if beta > 0.0 else 0
+    if first <= k <= last and beta == k * (k + 1):
+        return beta + (1.0 + beta) * 1e-12
+    return beta
+
+
+def _rescale(d: list[float], top: int, alpha: float, beta: float) -> float:
+    """Divide d_0..d_top by their peak and return its log: the march's one
+    overflow guard, applied to a row's new d_top past RESCALE_THRESHOLD.
+
+    Below alpha of about 1e-29 the values stay finite but not accurate, as
+    both seed columns collapse onto the dominant solution.  A peak that is
+    not finite (d_top overflowed, or is NaN) raises ``ArithmeticError``.
+    """
+    peak = max(abs(x) for x in d[top::-1])  # d_top first: a NaN there is the peak
+    if not math.isfinite(peak):
+        raise ArithmeticError(f"march overflowed at d_{top} (alpha {alpha}, beta {beta})")
+    for k in range(top + 1):
+        d[k] /= peak
+    return math.log(peak)
+
+
+def march_three_safe(alpha: float, beta: float, parity: Parity, order: int,
+                     seed: float = 1.0) -> tuple[list[float], float]:
+    """March the m = 0 recursion in d storage up to d_order: (d, log_scale)."""
+    beta = _off_pole(beta, 1, order - 1)
     d = [0.0] * (order + 1)
     log_scale = 0.0
     if parity == "even":
@@ -146,14 +185,9 @@ def _march_three(alpha: float, beta: float, parity: Parity, order: int,
             d[1] = seed
     for n in range(1, order):
         tm, t0, tp = _d_row_three(n, alpha, beta)
-        if abs(tp) < _POLE_EPS:
-            raise _PoleHit(n)
         d[n + 1] = -(t0 * d[n] + tm * d[n - 1]) / tp
-        if abs(d[n + 1]) > RESCALE_THRESHOLD:
-            peak = max(abs(x) for x in d[: n + 2])
-            for k in range(n + 2):
-                d[k] /= peak
-            log_scale += math.log(peak)
+        if not abs(d[n + 1]) <= RESCALE_THRESHOLD:
+            log_scale += _rescale(d, n + 1, alpha, beta)
     return d, log_scale
 
 
@@ -163,67 +197,37 @@ def _march_five(alpha: float, m: int, beta: float, parity: Parity, order: int,
     every seed pair in ``seeds``: one (d, log_scale) per pair, in order.
 
     Each row comes from one ``_d_row_five`` call and is applied to every
-    column; each column rescales on its own.  A pole depends only on
-    (n, beta), so it stops all the columns at once.  A column seeds
-    d_floor and d_floor+1 (floor 0 even, 1 odd, where d_0 = 0 and the n = 0
-    row is identically zero).  Rows floor..1 reach below d_0: their d_-2
-    and d_-1 multipliers fold onto d_2 and d_1 by parity, d_-k = +/- d_k,
-    and then each row fixes d_{n+2} as every later row does.
+    column; each column rescales on its own.  A column seeds d_floor and
+    d_floor+1 (floor 0 even, 1 odd, where d_0 = 0 and the n = 0 row is
+    identically zero).  Rows 0 and 1 reach below d_0: inside the one row
+    loop, their d_-2 and d_-1 multipliers fold onto d_2 and d_1 by parity,
+    d_-k = +/- d_k, and each row then fixes d_{n+2} as every later row does.
     """
     floor = 0 if parity == "even" else 1
     sign = 1.0 - 2 * floor
+    beta = _off_pole(beta, floor + 1, order - 1)
     cols = [[0.0] * (order + 1) for _ in seeds]
     for d, s in zip(cols, seeds):
         d[floor:floor + 2] = s[:order + 1 - floor]
     scales = [0.0] * len(cols)
-    for n in range(floor, min(2, order - 1)):
+    for n in range(floor, order - 1):
         am2, am1, a0, ap1, ap2 = _d_row_five(n, alpha, m, beta)
-        if n == 0:  # d_-2, d_-1 onto d_2, d_1 (an even row: the odd one is zero)
-            ap1, ap2 = ap1 + am1, ap2 + am2
-        else:  # d_-1 onto d_1
-            a0 += sign * am2
-        if abs(ap2) < _POLE_EPS:
-            raise _PoleHit(n)
-        for d in cols:  # the floor row has no d_{n-1}: folded, or odd's d_0 = 0
-            low = a0 * d[n] if n == floor else am1 * d[n - 1] + a0 * d[n]
-            d[n + 2] = -(low + ap1 * d[n + 1]) / ap2
-    for n in range(2, order - 1):
-        am2, am1, a0, ap1, ap2 = _d_row_five(n, alpha, m, beta)
-        if abs(ap2) < _POLE_EPS:
-            raise _PoleHit(n)
+        if n < 2:  # fold, then zero the multipliers: d[n - 2] wraps to the list's end
+            if n == 0:  # d_-2, d_-1 onto d_2, d_1 (an even row: the odd one is zero)
+                ap1, ap2, am1 = ap1 + am1, ap2 + am2, 0.0
+            else:  # d_-1 onto d_1
+                a0 += sign * am2
+            am2 = 0.0
         for j, d in enumerate(cols):
             d[n + 2] = -(am2 * d[n - 2] + am1 * d[n - 1] + a0 * d[n] + ap1 * d[n + 1]) / ap2
-            if abs(d[n + 2]) > RESCALE_THRESHOLD:
-                peak = max(abs(x) for x in d[: n + 3])
-                for k in range(n + 3):
-                    d[k] /= peak
-                scales[j] += math.log(peak)
+            if not abs(d[n + 2]) <= RESCALE_THRESHOLD:
+                scales[j] += _rescale(d, n + 2, alpha, beta)
     return list(zip(cols, scales))
-
-
-def nudge_off_pole(beta: float, attempt: int = 0) -> float:
-    """Shift beta off a marching pole beta = k(k+1) by a negligible amount."""
-    return beta + (1.0 + abs(beta)) * 1e-12 * (1024.0 ** attempt)
-
-
-def _march_safe(march, beta: float):
-    b = beta
-    for attempt in range(4):
-        try:
-            return march(b)
-        except _PoleHit:
-            b = nudge_off_pole(beta, attempt)
-    raise ArithmeticError(f"marching failed near beta = {beta}")
-
-
-def march_three_safe(alpha: float, beta: float, parity: Parity, order: int,
-                     seed: float = 1.0) -> tuple[list[float], float]:
-    return _march_safe(lambda b: _march_three(alpha, b, parity, order, seed), beta)
 
 
 def march_five_safe(alpha: float, m: int, beta: float, parity: Parity, order: int,
                     seeds: tuple[float, float]) -> tuple[list[float], float]:
-    return _march_safe(lambda b: _march_five(alpha, m, b, parity, order, (seeds,)), beta)[0]
+    return _march_five(alpha, m, beta, parity, order, (seeds,))[0]
 
 
 def propagate(seeds: float | tuple[float, ...], mode: ModeSpec, alpha: float,
@@ -234,9 +238,9 @@ def propagate(seeds: float | tuple[float, ...], mode: ModeSpec, alpha: float,
     rows, so all rows with center |n| <= order-1 hold exactly.  m != 0 takes
     two seeds ((d_0, d_1) even / (d_1, d_2) odd) and marches the five-term
     rows, satisfying centers |n| <= order-2.  Negative-n entries follow from
-    parity.  If beta lands on a marching pole k(k+1) the propagation is
-    retried at a nudged beta; magnitudes beyond 1e100 trigger a rescale
-    recorded in log_scale.
+    parity.  A beta on one of the march's poles k(k+1) is moved off it
+    first (``_off_pole``); a non-finite beta raises ``ValueError``.
+    Magnitudes beyond 1e100 trigger a rescale recorded in log_scale.
     """
     _check_alpha(alpha)
     if order < 1:

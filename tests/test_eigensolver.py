@@ -223,7 +223,7 @@ class TestDeterminant:
                           st.integers(min_value=1, max_value=20).map(lambda k: k * (k + 1.0))))
     @example(alpha=0.1, m=3, parity="even", order=120, beta=7.3)   # both columns rescale
     @example(alpha=0.3, m=2, parity="odd", order=200, beta=14.1)
-    @example(alpha=0.5, m=1, parity="even", order=10, beta=6.0)    # on a pole: both retry
+    @example(alpha=0.5, m=1, parity="even", order=10, beta=6.0)    # on a pole: both step off
     @example(alpha=0.7, m=4, parity="odd", order=200, beta=12.0)
     def test_joint_march_equals_two_single_marches(self, alpha, m, parity, order, beta):
         mode = ModeSpec(m, parity)
@@ -254,6 +254,27 @@ class TestDeterminant:
     def test_alpha_validation(self, alpha):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             determinant(alpha, ModeSpec(1, "even"), 0.3, 10)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(alpha=st.floats(min_value=-140.0, max_value=-1.0).map(lambda e: 10.0 ** e),
+           m=st.integers(min_value=0, max_value=7),
+           parity=st.sampled_from(["even", "odd"]),
+           order=st.integers(min_value=2, max_value=80),
+           beta=st.one_of(st.floats(min_value=0.0, max_value=2000.0),
+                          st.integers(min_value=1, max_value=44).map(lambda k: k * (k + 1.0))))
+    @example(alpha=1e-62, m=0, parity="even", order=2, beta=0.37)  # d_3 ~ 8.5e185
+    @example(alpha=1.4e-140, m=3, parity="odd", order=40, beta=810.54)
+    def test_finite_at_small_alpha(self, alpha, m, parity, order, beta):
+        # every row, the folded rows 0 and 1 included, rescales past 1e100,
+        # so no product of the 2x2 overflows; below alpha ~ 1e-29 the value
+        # is finite but not accurate (both columns near the dominant solution)
+        value = determinant(alpha, ModeSpec(m, parity), beta, order)
+        assert isinstance(value, float) and -1.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("beta", (math.inf, -math.inf, math.nan))
+    def test_beta_validation(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            determinant(ALPHA, ModeSpec(1, "even"), beta, 10)
 
     @pytest.mark.parametrize("alpha,m,parity,beta,order,value", PINNED_DETERMINANTS)
     def test_values_are_pinned(self, alpha, m, parity, beta, order, value):

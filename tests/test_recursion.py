@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from toruseig.recursion import (
     _d_row_three,
     _march_five,
     march_five_safe,
+    march_three_safe,
     propagate,
     reconstruct,
     residual,
@@ -22,6 +24,123 @@ from toruseig.wavefunction import evaluate, from_series
 ALPHA = 0.5
 # converged even-sector m=0 ground state at alpha = 0.5
 BETA_10 = 1.1222882712
+
+# march_three_safe(alpha, beta, parity, order) -> (d, log_scale), bit for bit:
+# poles 2, 6 and 12 inside and outside each march's rows, and off-pole betas
+PINNED_THREE = [
+    (0.5, 2.0, "even", 2,
+     [1.0, 2.0, 2000118265308.4785],
+     0.0),
+    (0.5, 6.0, "even", 2,
+     [1.0, 2.0, 8.5],
+     0.0),
+    (0.5, 2.0, "odd", 3,
+     [0.0, 1.0, 1333412176871.6523, 2666824353741.3047],
+     0.0),
+    (0.5, 12.0, "odd", 3,
+     [0.0, 1.0, 4.4, 21.8],
+     0.0),
+    (0.3, 6.0, "even", 3,
+     [1.0, 3.3333333333333335, 26.277777777768932, 48149976983090.42],
+     0.0),
+    (0.7, 12.0, "even", 4,
+     [1.0, 1.4285714285714286, 3.289795918367076, 10.151603498536517,
+      5175244675009.711],
+     0.0),
+    (0.9, 2.0, "odd", 4,
+     [0.0, 1.0, 740784542706.4736, 823093936339.9089, 984054528335.0154],
+     0.0),
+    (0.9, 12.0, "odd", 20,
+     [0.0, 1.0, 2.4444444444441555, 5.576131687239463, 1731432245683.462,
+      1923813606311.8318, 2318076641678.029, 2966736976973.7275, 3963395630574.3784,
+      5457599283177.246, 7679848105803.958, 10981063457397.355, 15893603988710.23,
+      23224973762504.43, 34201507741761.625, 50688742218322.54, 75529705192122.06,
+      113064812951092.92, 169931804081439.38, 256297967137908.7, 387760372131861.9],
+     0.0),
+    (0.5, 1.1222882712, "even", 20,
+     [1.0, 2.0, 0.16404258582353837, 0.027235237089542015, 0.00533687076665951,
+      0.0011306794796933273, 0.0002508594481558088, 5.739504236951052e-05,
+      1.3433741013163536e-05, 3.2312413036170005e-06, 9.030815597570256e-07,
+      6.428608602491682e-07, 1.60404165875782e-06, 5.3757964218404836e-06,
+      1.8584242769986894e-05, 6.469937339678567e-05, 0.00022629635963192126,
+      0.0007946624830114034, 0.0028003484541828326, 0.009899167379376074,
+      0.03509148739383398],
+     0.0),
+    (1e-06, 7.3, "odd", 20,
+     [0.0, 8.258297452824819e-101, 1.9632933567092963e-94, 9.96748934944383e-88,
+      7.210524210236506e-82, 9.878985925832155e-76, 1.540599567287959e-69,
+      2.548426949922375e-63, 4.3642465631103196e-57, 7.649235861771036e-51,
+      1.3633583627869025e-44, 2.4612136364228673e-38, 4.4882115551116275e-32,
+      8.252031198165517e-26, 1.5275940981603096e-19, 2.84417371803432e-13,
+      5.321672698031085e-07, 1.0, 1886173.4181448247, 3569471894390.897,
+      6.77500514647569e+18],
+     230.449875945624),
+]
+# march_five_safe(alpha, m, beta, parity, order, (1.0, 0.7)) -> (d, log_scale)
+PINNED_FIVE = [
+    (0.5, 1, 2.0, "even", 2,
+     [1.0, 0.7, -2533483136051.9395],
+     0.0),
+    (0.5, 1, 6.0, "even", 2,
+     [1.0, 0.7, -5.300000000000001],
+     0.0),
+    (0.5, 2, 2.0, "odd", 2,
+     [0.0, 1.0, 0.7],
+     0.0),
+    (0.5, 2, 6.0, "odd", 3,
+     [0.0, 1.0, 0.7, -7314563536408.094],
+     0.0),
+    (0.5, 3, 2.0, "odd", 3,
+     [0.0, 1.0, 0.7, -3.6],
+     0.0),
+    (0.3, 1, 12.0, "even", 3,
+     [1.0, 0.7, -16.933333333333334, -372.537037037037],
+     0.0),
+    (0.7, 4, 12.0, "even", 4,
+     [1.0, 0.7, 1.702040816322912, 19.04130223512404, 37707781736461.45],
+     0.0),
+    (0.7, 4, 2.0, "odd", 4,
+     [0.0, 1.0, 0.7, -12.959183673469386, -46.917434402332354],
+     0.0),
+    (0.9, 0, 6.0, "odd", 4,
+     [0.0, 1.0, 0.7, -2765537139535.5283, -3072819043919.3247],
+     0.0),
+    (0.99, 5, 12.0, "odd", 20,
+     [0.0, 1.0, 0.7, 11.760194537941956, 22477315468641.89, 22704359059002.145,
+      -101737443006601.86, -405090356340891.8, -649229537612025.9, -96035010089094.72,
+      2332842667481381.5, 7175048968565552.0, 1.2743426880735774e+16,
+      1.3181474267227904e+16, -2338847927862394.5, -4.712819718281308e+16,
+      -1.289783003457494e+17, -2.3566623131508938e+17, -3.160136342824671e+17,
+      -2.633629476254386e+17, 8.590231277652906e+16],
+     0.0),
+    (0.551591, 7, 2.0, "even", 20,
+     [1.0, 0.7, 30157572573198.46, 54673793758620.68, -464383213291345.5,
+      -3126003624154456.5, -9713210319695298.0, -1.3406609107426646e+16,
+      3.902282527391528e+16, 3.723764420970974e+17, 1.7313856879673715e+18,
+      6.189760075395401e+18, 1.8522713340328722e+19, 4.6481099009132356e+19,
+      8.905900697174642e+19, 6.326739182384906e+19, -5.237657679790795e+20,
+      -3.8482189793395564e+21, -1.8312248987712756e+22, -7.380041125799946e+22,
+      -2.704949223376961e+23],
+     0.0),
+    (0.5, 1, 0.249368057, "even", 20,
+     [1.0, 0.7, 0.9412894585803866, 1.1537475510355568, 0.5840702288224143,
+      -4.432483974885152, -29.166818022610002, -133.651106290194, -546.619263743601,
+      -2123.7693490613574, -8030.259277037876, -29889.380661795796,
+      -110184.05077387826, -403707.5295107703, -1473327.9880649415,
+      -5363105.521729325, -19490092.673136365, -70755591.642152, -256709906.62025478,
+      -931085956.5484577, -3376716472.0548053],
+     0.0),
+    (1e-06, 2, 7.3, "odd", 20,
+     [0.0, 2.6590189593394057e-101, 1.861313271537584e-101, -5.15440352005664e-88,
+      -8.773447572591417e-83, 9.084334206252088e-77, 3.778165177383002e-70,
+      9.339432105320563e-64, 2.039695817924455e-57, 4.237807587352135e-51,
+      8.59035222096384e-45, 1.717809038327662e-38, 3.407678359541559e-32,
+      6.726796877853556e-26, 1.3237990697046343e-19, 2.6001378480598234e-13,
+      5.100955585885575e-07, 1.0, 1959681.748630985, 3839785767000.1816,
+      7.523724724550595e+18],
+     231.5831371499114),
+]
+
 
 
 def stored(d, parity, k) -> float:
@@ -263,6 +382,43 @@ class TestTrigonometricSum:
             assert np.max(np.abs(rows[j] - direct.real)) <= 1e-12 * scale
         psi = from_series(series, 0.0, ModeSpec(0, parity))
         assert np.array_equal(evaluate(psi, thetas), rows[0])
+
+
+class TestMarch:
+    @pytest.mark.parametrize("alpha,beta,parity,order,d,log_scale", PINNED_THREE)
+    def test_three_term_values_are_pinned(self, alpha, beta, parity, order, d, log_scale):
+        # a beta on a pole k(k+1), 1 <= k <= order - 1, marches at
+        # beta + (1 + beta) 1e-12; any other beta marches as given
+        assert repr(march_three_safe(alpha, beta, parity, order)) == repr((d, log_scale))
+
+    @pytest.mark.parametrize("alpha,m,beta,parity,order,d,log_scale", PINNED_FIVE)
+    def test_five_term_values_are_pinned(self, alpha, m, beta, parity, order, d, log_scale):
+        # the poles here are k = floor + 1 .. order - 1 (floor 0 even, 1 odd)
+        result = march_five_safe(alpha, m, beta, parity, order, (1.0, 0.7))
+        assert repr(result) == repr((d, log_scale))
+
+    @pytest.mark.parametrize("beta", (math.inf, -math.inf, math.nan))
+    def test_beta_validation(self, beta):
+        calls = (lambda: march_three_safe(ALPHA, beta, "even", 6),
+                 lambda: march_five_safe(ALPHA, 1, beta, "odd", 6, (1.0, 0.7)),
+                 lambda: propagate(1.0, ModeSpec(0, "odd"), ALPHA, beta, 6),
+                 lambda: propagate((1.0, 0.7), ModeSpec(2, "even"), ALPHA, beta, 6))
+        for call in calls:
+            with pytest.raises(ValueError, match="beta must be finite"):
+                call()
+
+    @pytest.mark.parametrize("march,where", (
+        (lambda: march_three_safe(1e-300, 7.3, "even", 10), "d_2 (alpha 1e-300, beta 7.3)"),
+        (lambda: march_five_safe(1e-160, 1, 7.3, "even", 10, (1.0, 0.7)),
+         "d_2 (alpha 1e-160, beta 7.3)"),
+        # row 56 overflows to +inf and -inf in its terms: d_58 is NaN, not inf
+        (lambda: march_five_safe(0.5, 1, 1.412373664491162e275, "even", 80, (1.0, 0.7)),
+         "d_58 (alpha 0.5, beta 1.412373664491162e+275)")),
+        ids=("three", "five", "five_nan"))
+    def test_overflow_names_alpha_and_beta(self, march, where):
+        # past float range from below the 1e100 rescale threshold in one row
+        with pytest.raises(ArithmeticError, match=re.escape("march overflowed at " + where)):
+            march()
 
 
 class TestPropagate:
