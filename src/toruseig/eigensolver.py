@@ -10,8 +10,8 @@ columns, so every order is a leading block of that pencil:
 * N: the m = 0 eigenvalues, from the three-term rows.  The numerator of
   d_k (``coefficient_polynomials``) vanishes exactly where the order-k
   block is singular, so its roots lambda^i_k, the paper's eq. (14), are
-  that block's eigenvalues (less the exact beta = 0 of the even n = 0
-  row); ``roots_warm_started`` returns them for every k up to N.
+  that block's Ritz values (``_m0_ritz``: one Cholesky factor serves every
+  k); ``roots_warm_started`` returns them for every k up to N.
 * N+2: every state's order N+2 partner, its nearest real root.
 * N+8: every eigenfunction (``_series``), the smallest right singular
   vector of A + beta B, cut to d_0..d_N: the minimal solution of the
@@ -139,13 +139,14 @@ def roots_warm_started(alpha: float, parity: Parity, order: int) -> list[list[fl
     Entry k - 1 holds the k - 1 eigenvalues, ascending, of the order-k
     leading block of the sector's three-term pencil, which is singular
     exactly where the numerator of d_k vanishes; the exact beta = 0 of the
-    even n = 0 row is left out.  A non-real root raises ``ArithmeticError``.
+    even n = 0 row is left out.  One Cholesky factor gives every k
+    (``_m0_ritz``), so the roots are real and interlace (Cauchy).
     """
     _check_alpha(alpha)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    pencil = _pencil(lambda n, b: _d_row_three(n, alpha, b), parity, order)
-    return [_m0_roots(pencil, parity, k).tolist() for k in range(1, order + 1)]
+    c = _m0_ritz(_pencil(lambda n, b: _d_row_three(n, alpha, b), parity, order), parity)
+    return [np.linalg.eigvalsh(c[:k - 1, :k - 1]).tolist() for k in range(1, order + 1)]
 
 
 def determinant(alpha: float, mode: ModeSpec, beta: float, order: int,
@@ -270,21 +271,19 @@ def _block_roots(pencil, parity: Parity, order: int) -> np.ndarray:
     return np.linalg.eigvals(np.linalg.solve(b, -a))
 
 
-def _m0_roots(pencil, parity: Parity, order: int) -> np.ndarray:
-    """The m = 0 pencil's block roots at ``order``, sorted and real.
-
-    The even n = 0 row carries an overall factor beta: its root is the
-    constant mode, which is left out.  A non-real root raises
-    ``ArithmeticError``, as the m = 0 problem is self-adjoint.
+def _m0_ritz(pencil, parity: Parity) -> np.ndarray:
+    """C = -L^-1 A L^-T, B = L L^T, for the m = 0 pencil with its folded even
+    row 0 halved, which makes it symmetric-definite (B is diagonally
+    dominant, 2/alpha > 2).  L's leading blocks factor B's, so the order-k
+    roots are ``eigvalsh(C[:k - 1, :k - 1])``.  C's even row and column 0
+    are zero, as A's are (the constant mode), and are dropped.
     """
-    roots = np.sort(_block_roots(pencil, parity, order))
+    a, b = pencil[0], pencil[1].copy()
     if parity == "even":
-        roots = np.delete(roots, np.argmin(np.abs(roots)))
-    bad = roots[roots.imag != 0.0]
-    if bad.size:
-        raise ArithmeticError(
-            f"non-real pencil root {complex(bad[0]):.9g} in m=0 {parity} at order {order}")
-    return roots.real
+        b[0] *= 0.5  # A's row 0 is zero
+    low = np.linalg.cholesky(b)
+    c = -np.linalg.solve(low, np.linalg.solve(low, a).T)
+    return c[1:, 1:] if parity == "even" else c
 
 
 def _series(pencil, mode: ModeSpec, beta: float, order: int) -> CoefficientSeries:
@@ -332,17 +331,16 @@ def _check_sector(alpha: float, order: int, beta_max: float) -> None:
 def _find_m0(alpha: float, mode: ModeSpec, order: int,
              beta_max: float) -> list[Eigenpair]:
     pencil = _pencil(lambda n, b: _d_row_three(n, alpha, b), mode.parity, order)
-    roots = _m0_roots(pencil, mode.parity, order)
-    roots_n2 = _m0_roots(pencil, mode.parity, order + 2)
+    c = _m0_ritz(pencil, mode.parity)
+    roots_n2 = np.linalg.eigvalsh(c[:order + 1, :order + 1])
     pairs = []
     if mode.parity == "even":
         # the constant mode, added exactly
         series = CoefficientSeries(order=order, m=0, parity="even", d=(1.0,) + (0.0,) * order)
         pairs.append(_eigenpair(alpha, mode, series, 0.0, np.zeros(1), trivial=True))
-    for root in roots:
-        beta = float(root)
-        if beta < 0.0 or beta > beta_max:
-            continue
+    for beta in np.linalg.eigvalsh(c[:order - 1, :order - 1]).tolist():
+        if beta > beta_max:
+            break
         pairs.append(_eigenpair(alpha, mode, _series(pencil, mode, beta, order),
                                 beta, roots_n2))
     return pairs
@@ -390,16 +388,16 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
 
     One pencil A + beta B per sector, of three-term rows at m = 0 and
     five-term rows otherwise.  m = 0 takes the eigenvalues of its order-N
-    block; m != 0 scans the normalized determinant at order N in steps of
-    0.02, stepping over its marching poles, and bisects each sign change to
-    1e-10.  Each state's order N+2 value is the nearest real root of the
-    N+2 block, and its eigenfunction the smallest right singular vector of
-    the whole block, scaled to max |d| = 1 with d_floor >= 0.  Results are
-    sorted ascending.  The exact constant mode at beta = 0 (m = 0, even) is
+    block, real and positive from one Cholesky factor (``_m0_ritz``); m != 0
+    scans the normalized determinant at order N in steps of 0.02, stepping
+    over its marching poles, and bisects each sign change to 1e-10.  Each
+    state's order N+2 value is the nearest real root of the N+2 block, and
+    its eigenfunction the smallest right singular vector of the whole
+    block, scaled to max |d| = 1 with d_floor >= 0.  Results are sorted
+    ascending.  The exact constant mode at beta = 0 (m = 0, even) is
     included flagged ``trivial``.  No root is dropped: ``Eigenpair.converged``
     is the verdict, from the order N versus N+2 estimate in
-    ``diagnostics.convergence_estimate``.  A non-real m = 0 pencil root at
-    order N or N+2 raises ``ArithmeticError``, and a non-finite beta_max
+    ``diagnostics.convergence_estimate``.  A non-finite beta_max raises
     ``ValueError``.
     """
     _check_sector(alpha, order, beta_max)

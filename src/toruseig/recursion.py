@@ -202,7 +202,12 @@ def _march_five(alpha: float, m: int, beta: float, parity: Parity, order: int,
     identically zero).  Rows 0 and 1 reach below d_0: inside the one row
     loop, their d_-2 and d_-1 multipliers fold onto d_2 and d_1 by parity,
     d_-k = +/- d_k, and each row then fixes d_{n+2} as every later row does.
+    Below alpha of about 3.5e-162, alpha^2/4 underflows to 0, and with it
+    every row's divisor: that raises ``ArithmeticError``, naming alpha.
     """
+    if alpha * alpha / 4 == 0.0:
+        raise ArithmeticError(f"alpha {alpha} is too small for the five-term rows: "
+                              "alpha^2/4 underflows to 0")
     floor = 0 if parity == "even" else 1
     sign = 1.0 - 2 * floor
     beta = _off_pole(beta, floor + 1, order - 1)

@@ -1,10 +1,9 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
-from toruseig import eigensolver, oracles
+from toruseig import oracles
 from toruseig.cli import (
     build_parser,
     golden_tables,
@@ -92,14 +91,17 @@ class TestExitCodes:
             f"error: no state {state} for m=1 parity=even within beta_max=25.0; "
             "available: 1, 2, 3, 4, 5\n")
 
-    def test_non_real_pencil_root_is_exit_1(self, tmp_path, monkeypatch, capsys):
-        roots = eigensolver._block_roots
-        monkeypatch.setattr(eigensolver, "_block_roots",
-                            lambda pencil, parity, order:
-                            np.append(roots(pencil, parity, order), 3.0 + 0.5j))
-        code, _ = run_cli(tmp_path, "spectrum", "--m", "0", "--beta-max", "10")
+    def test_underflowing_alpha_is_exit_1(self, tmp_path, capsys):
+        # m != 0 rows divide by alpha^2/4, which is 0 here; m = 0 still solves
+        code, _ = run_cli(tmp_path, "spectrum", "--alpha", "1e-170", "--m", "1",
+                          "--beta-max", "5")
         assert code == 1
-        assert "non-real" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: alpha 1e-170 is too small for the five-term rows: "
+            "alpha^2/4 underflows to 0\n")
+        code, _ = run_cli(tmp_path, "spectrum", "--alpha", "1e-170", "--m", "0",
+                          "--beta-max", "5")
+        assert code == 0
 
     def test_bad_alpha_is_exit_1(self, tmp_path):
         code, _ = run_cli(tmp_path, "spectrum", "--alpha", "1.5", "--m", "0",

@@ -166,9 +166,30 @@ class TestRootsWarmStarted:
         for k in (20, 60, 120):
             for lam in roots[k - 1]:
                 assert d_changes_sign(alpha, parity, k, lam)
+        # Cauchy interlacing: lambda^i_{k+1} <= lambda^i_k <= lambda^{i+1}_{k+1}
         for prev, cur in zip(roots, roots[1:]):
             for lam_prev, lam in zip(prev, cur):
-                assert lam <= lam_prev * (1.0 + 1e-10)
+                assert lam <= lam_prev * (1.0 + 2e-12)
+            for lam_prev, lam_next in zip(prev, cur[1:]):
+                assert lam_prev <= lam_next
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(alpha=st.floats(min_value=-12.0, max_value=math.log10(0.99))
+           .map(lambda e: 10.0 ** e),
+           parity=st.sampled_from(("even", "odd")))
+    # an unsymmetric eigensolve, eigvals(solve(B, -A)), breaks both bounds here
+    @example(alpha=0.615369610380671, parity="even")
+    @example(alpha=0.615369610380671, parity="odd")
+    def test_roots_are_ritz_values(self, alpha, parity):
+        # each order adds a basis vector to a symmetric-definite problem, so
+        # the i-th root never rises with the order and stays above its
+        # order-200 value, to rounding; every root is positive
+        roots = roots_warm_started(alpha, parity, 200)
+        for order in range(4, 61):
+            for i, beta in enumerate(roots[order - 1]):
+                assert beta > 0.0
+                assert roots[order + 1][i] <= beta * (1.0 + 1e-12)
+                assert roots[-1][i] <= beta * (1.0 + 1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -276,6 +297,15 @@ class TestDeterminant:
         with pytest.raises(ValueError, match="beta must be finite"):
             determinant(ALPHA, ModeSpec(1, "even"), beta, 10)
 
+    @pytest.mark.parametrize("alpha", (1e-170, 3e-162, 5e-324))
+    def test_underflowing_alpha_is_named(self, alpha):
+        # alpha^2/4 underflows to 0, and with it every five-term divisor:
+        # an ArithmeticError naming alpha, not a bare ZeroDivisionError
+        for call in (lambda: determinant(alpha, ModeSpec(1, "even"), 7.3, 10),
+                     lambda: march_five_safe(alpha, 1, 7.3, "odd", 10, (1.0, 0.7))):
+            with pytest.raises(ArithmeticError, match=f"alpha {alpha} is too small"):
+                call()
+
     @pytest.mark.parametrize("alpha,m,parity,beta,order,value", PINNED_DETERMINANTS)
     def test_values_are_pinned(self, alpha, m, parity, beta, order, value):
         # exact floats, poles (2, 6, 12) and orders 2 and 3 included: the
@@ -375,18 +405,6 @@ class TestFindEigenvalues:
         assert pairs
         for p in pairs:
             assert p.diagnostics.residual_rel <= 0.5
-
-    def test_non_real_pencil_root_raises(self, monkeypatch):
-        # a non-real root inside the window is reported, never set aside
-        roots = eigensolver._block_roots
-        monkeypatch.setattr(eigensolver, "_block_roots",
-                            lambda pencil, parity, order:
-                            np.append(roots(pencil, parity, order), 3.0 + 0.5j))
-        for parity in ("even", "odd"):
-            with pytest.raises(ArithmeticError, match="non-real"):
-                find_eigenvalues(ALPHA, ModeSpec(0, parity), order=10, beta_max=10.0)
-            with pytest.raises(ArithmeticError, match="non-real"):
-                roots_warm_started(ALPHA, parity, 10)
 
     def test_converged_is_the_order_n_versus_n2_rule(self):
         # the sweep's sectors at order 10, where both verdicts occur: the
