@@ -250,11 +250,8 @@ def cmd_embed(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+def _m_list(text: str) -> list[int]:
+    values = [_m_value(part) for part in text.split(",") if part != ""]
     if not values:
         raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
     if len(set(values)) < len(values):
@@ -274,6 +271,10 @@ def _int_at_least(text: str, low: int) -> int:
 
 def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
+
+
+def _m_value(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _positive_float(text: str) -> float:
@@ -324,7 +325,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_state(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--m", type=_m_value, required=True)
     parser.add_argument("--state", type=_state_arg, required=True,
                         help="1-based index within the parity sector, or 'trivial'")
     parser.add_argument("--parity", choices=("even", "odd"), default="even")
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="compute eigenvalue spectra")
     _add_common(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--m", type=_int_list, default=[0],
+    p.add_argument("--m", type=_m_list, default=[0],
                    help="comma-separated azimuthal indices (default 0)")
     p.add_argument("--parity", choices=("even", "odd", "both"), default="both")
     p.set_defaults(func=cmd_spectrum)

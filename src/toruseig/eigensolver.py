@@ -18,12 +18,14 @@ columns, so every order is a leading block of that pencil:
   recursion (Gautschi, SIAM Rev. 9 (1967) 24), which forward marching
   cannot give, as the dominant solution swamps it.
 
-For m != 0 (five-term rows) the order-N eigenvalues come from a scan: the
-rows are singular exactly where the normalized 2x2 determinant of
-(d_N, d_{N+1}) for two series, marched jointly from two seed pairs (one
-pass, each row built once), crosses zero, which bisection refines.  The
-marching denominators vanish on the poles beta = k(k+1) (k >= 1 even,
-k >= 2 odd; ``recursion._poles``), which the march itself steps off by
+For m != 0 (five-term rows) the order-N eigenvalues are the order-N
+block's roots, and a scan chooses which are states: the rows are singular
+exactly where the normalized 2x2 determinant of (d_N, d_{N+1}) for two
+series, marched jointly from two seed pairs (one pass, each row built
+once), crosses zero, and each crossing reports the real root nearest it.
+The scan stops one step past the largest root.  The marching denominators
+vanish on the poles beta = k(k+1) (k >= 1 even, k >= 2 odd;
+``recursion._poles``), which the march itself steps off by
 (1 + beta) 1e-12.  The determinant changes sign there without a root; the
 scan evaluates k(k+1) +/- POLE_GAP and never brackets that interval.  So
 every root found is a state, and ``Eigenpair.converged`` says whether it
@@ -51,7 +53,6 @@ from .recursion import (
 )
 
 DEFAULT_SEEDS = ((1.0, 1.0), (1.0, -1.0))
-REFINE_TOL = 1e-10
 # half-width of the interval the scan steps over at each marching pole
 POLE_GAP = 1e-6
 # a root has converged once it moves by less than this from order N to N+2
@@ -215,24 +216,6 @@ def _eigenpair(alpha: float, mode: ModeSpec, series: CoefficientSeries,
     return Eigenpair(beta, mode, series, trivial, diag)
 
 
-def _bisect_determinant(alpha: float, mode: ModeSpec, order: int, lo: float,
-                        hi: float, flo: float, fhi: float) -> float:
-    """Refine a root of ``determinant`` in [lo, hi], given its values there:
-    flo nonzero and fhi zero or of the other sign."""
-    if fhi == 0.0:
-        return hi
-    while hi - lo > REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = determinant(alpha, mode, mid, order)
-        if fm == 0.0:
-            return mid
-        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _stencil(row, parity: Parity, columns: int) -> np.ndarray:
     """Square rows floor..columns-1 of a recursion over d_floor..d_{columns-1}.
 
@@ -348,35 +331,47 @@ def _find_m0(alpha: float, mode: ModeSpec, order: int,
 
 def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
                      scan_step: float = 0.02) -> tuple[list[Eigenpair], list[Eigenpair]]:
-    """Bracket and refine every zero crossing of the normalized determinant.
+    """The order-N roots at the zero crossings of the normalized determinant.
 
     Works for any m (the m = 0 sectors also close under the five-term rows),
     which is how truncation columns of the reference eigenvalue tables are
-    recomputed.  Only the order-N roots come from the scan, and scan_step
-    only spaces its grid: from beta = 0, stepping over every marching pole
-    k(k+1) of order N (it evaluates k(k+1) +/- POLE_GAP and never brackets
-    that interval).  Every root found is accepted, with its order N+2
-    partner and eigenfunction from the sector's five-term pencil, and
-    ``converged`` says whether it has converged.  Returns (accepted, []).
-    Rejects alpha, order and beta_max as ``find_eigenvalues`` does.
+    recomputed.  The roots are the eigenvalues of the order-N block of the
+    sector's five-term pencil; the scan only chooses which are states.  Its
+    grid, spaced by scan_step, runs from beta = 0, stepping over every
+    marching pole k(k+1) of order N (it evaluates k(k+1) +/- POLE_GAP and
+    never brackets that interval), to beta_max or one step past the
+    largest real part of a root, beyond which no root can be bracketed.
+    Each sign change reports the real root nearest its bracket, with its
+    order N+2 partner and eigenfunction from the same pencil; one with no
+    real root within scan_step of its bracket raises ``ArithmeticError``.
+    Returns (accepted, []).  Rejects alpha, order and beta_max as
+    ``find_eigenvalues`` does.
     """
     _check_sector(alpha, order, beta_max)
-    poles = _poles(mode.parity, order)
-    grid = _scan_grid(poles, beta_max, scan_step)
-    vals = [determinant(alpha, mode, b, order) for b in grid]
     pencil = _pencil(lambda n, b: _d_row_five(n, alpha, mode.m, b), mode.parity, order)
+    roots = _block_roots(pencil, mode.parity, order)
+    real = roots[roots.imag == 0.0].real
     roots_n2 = _block_roots(pencil, mode.parity, order + 2)
+    poles = _poles(mode.parity, order)
+    grid = _scan_grid(poles, min(beta_max, float(np.max(roots.real, initial=0.0)) + scan_step),
+                      scan_step)
+    vals = [determinant(alpha, mode, b, order) for b in grid]
     accepted: list[Eigenpair] = []
     for i in range(len(grid) - 1):
+        lo, hi = grid[i], grid[i + 1]
         if vals[i] == 0.0 or not (math.isfinite(vals[i]) and math.isfinite(vals[i + 1])):
             continue
         if math.copysign(1.0, vals[i]) == math.copysign(1.0, vals[i + 1]):
             continue
-        j = bisect.bisect_right(poles, grid[i])
-        if j < len(poles) and poles[j] < grid[i + 1]:
+        j = bisect.bisect_right(poles, lo)
+        if j < len(poles) and poles[j] < hi:
             continue  # a sign change across a pole, not a root
-        beta = _bisect_determinant(alpha, mode, order, grid[i], grid[i + 1],
-                                   vals[i], vals[i + 1])
+        dist = np.abs(real - 0.5 * (lo + hi))
+        if not dist.size or dist.min() > 0.5 * (hi - lo) + scan_step:
+            raise ArithmeticError(f"no real order-{order} root within {scan_step} of the "
+                                  f"sign change in [{lo}, {hi}] (alpha {alpha}, "
+                                  f"m {mode.m}, {mode.parity})")
+        beta = float(real[np.argmin(dist)])
         accepted.append(_eigenpair(alpha, mode, _series(pencil, mode, beta, order),
                                    beta, roots_n2))
     return accepted, []
@@ -390,7 +385,8 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
     five-term rows otherwise.  m = 0 takes the eigenvalues of its order-N
     block, real and positive from one Cholesky factor (``_m0_ritz``); m != 0
     scans the normalized determinant at order N in steps of 0.02, stepping
-    over its marching poles, and bisects each sign change to 1e-10.  Each
+    over its marching poles, and takes the real root of its order-N block
+    nearest each sign change (``determinant_scan``).  Each
     state's order N+2 value is the nearest real root of the N+2 block, and
     its eigenfunction the smallest right singular vector of the whole
     block, scaled to max |d| = 1 with d_floor >= 0.  Results are sorted

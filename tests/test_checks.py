@@ -68,3 +68,35 @@ class TestFindState:
         from toruseig import cli
 
         assert cli.golden_tables is checks.golden_tables
+
+
+class TestFailedRowsRender:
+    """A failed lookup or oracle call is a FAIL row with its reason, and
+    ``repro`` exits 1."""
+
+    def test_shooting_failure_fails_its_de_row(self, capsys, monkeypatch):
+        def no_root(*args):
+            raise checks.oracles.OracleError("no sign change in the bracket")
+
+        monkeypatch.setattr(checks.oracles, "rk_find_eigenvalue", no_root)
+        code, text = stdout_of(capsys, "repro", "--table", "2")
+        de_rows = [line for line in text.splitlines() if "/DE " in line]
+        assert code == 1 and text.endswith("RESULT: FAIL\n")
+        assert de_rows and all(line.endswith("FAIL  (no sign change in the bracket)")
+                               for line in de_rows)
+
+    @pytest.mark.parametrize("table", (4, 5))
+    def test_missing_state_fails_its_row(self, capsys, monkeypatch, table):
+        def not_found(*args):
+            raise LookupError("no such state")
+
+        monkeypatch.setattr(checks, "find_state", not_found)
+        # table 4 samples one state; table 5 has one row per state
+        labels = (["state"] if table == 4 else
+                  [row["label"] for row in checks.golden_tables()["table5"]["rows"]])
+        report = checks.reproduce_table(table)
+        assert [(r.label, r.computed, r.passed, r.note) for r in report.rows] == \
+            [(label, None, False, "state not found") for label in labels]
+        code, text = stdout_of(capsys, "repro", "--table", str(table))
+        assert code == 1 and text == report.render_text()
+        assert text.count("FAIL  (state not found)") == len(labels)

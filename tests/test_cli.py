@@ -47,7 +47,11 @@ class TestExitCodes:
                      ["spectrum", "--m", "1", "--order", "1"],
                      ["spectrum", "--m", "0,2", "--order", "1"],
                      ["wavefn", "--m", "1", "--state", "1", "--order", "1"],
-                     ["compare", "--m", "-1", "--state", "1", "--order", "1"]):
+                     ["compare", "--m", "-1", "--state", "1", "--order", "1"],
+                     # m is a nonnegative integer
+                     ["spectrum", "--m", "-1"],
+                     ["wavefn", "--m", "-1", "--state", "1"],
+                     ["compare", "--m", "-1", "--state", "1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -173,6 +177,15 @@ class TestSpectrumCommand:
         code, _ = run_cli(tmp_path, "wavefn", "--m", "0", "--state", "1",
                           "--order", "80")
         assert code == 0
+
+    def test_huge_beta_max_stops_at_the_last_root(self, tmp_path):
+        # an order-4 m = 1 sector has at most four roots, all below 25: the
+        # scan ends one step past the last, so beta_max = 1e6 costs what 25 does
+        code, text = run_cli(tmp_path, "spectrum", "--m", "1", "--beta-max", "1e6",
+                             "--order", "4")
+        assert code == 0
+        assert run_cli(tmp_path, "spectrum", "--m", "1", "--beta-max", "25",
+                       "--order", "4") == (0, text)
 
     def test_m1_order_40_lists_its_states(self, tmp_path):
         code, text = run_cli(tmp_path, "spectrum", "--alpha", "0.5", "--m", "1",

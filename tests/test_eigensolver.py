@@ -50,6 +50,22 @@ def d_changes_sign(alpha, parity, order, beta):
     return lo * hi < 0.0
 
 
+def bisect_determinant(alpha, mode, order, lo, hi, tol=1e-12):
+    """A root of ``determinant`` in [lo, hi], where it changes sign, halved to tol."""
+    flo = determinant(alpha, mode, lo, order)
+    assert flo * determinant(alpha, mode, hi, order) < 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fmid = determinant(alpha, mode, mid, order)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def comprehension_grid(parity, order, beta_max, scan_step):
     """The scan grid as a screen of every step against every pole."""
     poles = eigensolver._poles(parity, order)
@@ -224,14 +240,10 @@ class TestDeterminant:
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_m0_crosscheck_against_polynomial_route(self):
-        # converged truncation: both routes must agree to 1e-9
-        from toruseig.eigensolver import _bisect_determinant
-
+        # converged truncation: eq. (14)'s root and the determinant's zero
+        # must agree to 1e-9
         poly_root = min(roots_warm_started(ALPHA, "even", 16)[-1])
-        mode = ModeSpec(0, "even")
-        det_root = _bisect_determinant(ALPHA, mode, 16, 1.0, 1.3,
-                                       determinant(ALPHA, mode, 1.0, 16),
-                                       determinant(ALPHA, mode, 1.3, 16))
+        det_root = bisect_determinant(ALPHA, ModeSpec(0, "even"), 16, 1.0, 1.3)
         assert abs(poly_root - det_root) < 1e-9
 
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -603,12 +615,9 @@ class TestSectorPencil:
         with pytest.raises(ValueError, match=match):
             determinant_scan(**(args | kwargs))
 
-    @pytest.mark.xfail(strict=True, raises=_TooManyCalls,
-                       reason="the scan's grid grows with beta_max / scan_step whatever "
-                              "the order: 500,001 points at beta_max = 1e4 (ROADMAP item 2)")
     def test_scan_work_is_bounded_by_the_order(self, monkeypatch):
-        # an order-4 sector has at most a handful of roots; its scan should
-        # not need 10^4 determinant evaluations however large beta_max is
+        # an order-4 sector has at most a handful of roots; its scan stops
+        # one step past the last, however large beta_max is
         calls = []
         det = eigensolver.determinant
 
@@ -623,10 +632,46 @@ class TestSectorPencil:
 
     @pytest.mark.parametrize("m", (0, 2))
     def test_scan_evaluates_the_determinant_at_order_n_only(self, m, monkeypatch):
-        orders = []
+        # once per grid point, in order, with no refinement: the roots come
+        # from the pencil
+        calls = []
         det = eigensolver.determinant
         monkeypatch.setattr(eigensolver, "determinant",
                             lambda alpha, mode, beta, order:
-                            orders.append(order) or det(alpha, mode, beta, order))
+                            calls.append((beta, order)) or det(alpha, mode, beta, order))
         accepted, _ = determinant_scan(0.5, ModeSpec(m, "even"), 10, 8.0)
-        assert accepted and set(orders) == {10}
+        betas = [b for b, _ in calls]
+        grid = eigensolver._scan_grid(eigensolver._poles("even", 10), 8.0, 0.02)
+        assert accepted and {order for _, order in calls} == {10}
+        assert betas == grid[:len(betas)]
+        assert betas[-1] >= accepted[-1].beta
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(alpha=st.floats(min_value=0.01, max_value=0.99),
+           m=st.integers(min_value=1, max_value=6),
+           parity=st.sampled_from(["even", "odd"]),
+           order=st.integers(min_value=2, max_value=40),
+           beta_max=st.floats(min_value=0.5, max_value=30.0))
+    def test_pencil_roots_are_zeros_of_the_determinant(self, alpha, m, parity, order,
+                                                       beta_max):
+        # each reported root sits at a sign change of the paper's condition,
+        # where bisecting the determinant finds it to 1e-9
+        mode = ModeSpec(m, parity)
+        for p in determinant_scan(alpha, mode, order, beta_max)[0]:
+            h = 1e-7 * max(1.0, p.beta)
+            assert determinant(alpha, mode, p.beta - h, order) * \
+                determinant(alpha, mode, p.beta + h, order) < 0.0, p.beta
+            assert bisect_determinant(alpha, mode, order, p.beta - h, p.beta + h) == \
+                pytest.approx(p.beta, abs=1e-9)
+
+    @pytest.mark.parametrize("roots", ([1.0 + 0.5j, 1.0 - 0.5j], [0.3 + 0.5j, 0.3 - 0.5j, 4.0]),
+                             ids=("non_real", "real_one_far"))
+    def test_sign_change_without_a_real_root_raises(self, monkeypatch, roots):
+        # the m = 1 ground state's sign change at 0.2494 has no real root
+        # within a step of its bracket
+        monkeypatch.setattr(eigensolver, "_block_roots",
+                            lambda pencil, parity, order: np.array(roots))
+        with pytest.raises(ArithmeticError,
+                           match=r"no real order-10 root .* in \[0\.24, 0\.26\] "
+                                 r"\(alpha 0\.5, m 1, even\)"):
+            determinant_scan(0.5, ModeSpec(1, "even"), 10, 5.0)
