@@ -25,11 +25,14 @@ series, marched jointly from two seed pairs (one pass, each row built
 once), crosses zero, and each crossing reports the real root nearest it.
 The scan stops one step past the largest root.  The marching denominators
 vanish on the poles beta = k(k+1) (k >= 1 even, k >= 2 odd;
-``recursion._poles``), which the march itself steps off by
-(1 + beta) 1e-12.  The determinant changes sign there without a root; the
-scan evaluates k(k+1) +/- POLE_GAP and never brackets that interval.  So
-every root found is a state, and ``Eigenpair.converged`` says whether it
-has stopped moving with N.
+``recursion._poles``), and the determinant changes sign across each one
+without a root.  The scan undoes that flip, multiplying each value by -1
+per pole below it, which gives the sign of the numerator with the
+denominators cleared, as in eq. (14): it changes only at roots, so a
+bracket may hold a pole and no state next to one is lost.  A step within
+POLE_GAP of a pole is evaluated POLE_GAP below it: on the pole itself the
+march's own (1 + beta) 1e-12 step off it leaves the sign to rounding.
+``Eigenpair.converged`` says whether a root has stopped moving with N.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .recursion import (
 )
 
 DEFAULT_SEEDS = ((1.0, 1.0), (1.0, -1.0))
-# half-width of the interval the scan steps over at each marching pole
+# a scan step within this of a marching pole is evaluated this far below it
 POLE_GAP = 1e-6
 # a root has converged once it moves by less than this from order N to N+2
 CONVERGED_TOL = 1e-6
@@ -285,24 +288,6 @@ def _series(pencil, mode: ModeSpec, beta: float, order: int) -> CoefficientSerie
                              d=tuple(float(x) for x in vals), log_scale=0.0)
 
 
-def _scan_grid(poles: list[int], beta_max: float, scan_step: float) -> list[float]:
-    """The scan's ascending grid: multiples of scan_step up to beta_max, less
-    those within POLE_GAP of a pole, plus p +/- POLE_GAP for each pole p
-    (those up to beta_max).  Each pole looks only at the steps next to it,
-    found by bisection, so the cost is linear in grid and poles."""
-    steps = [scan_step * k for k in range(int(math.floor(beta_max / scan_step)) + 1)]
-    keep = [True] * len(steps)
-    for p in poles:
-        i = bisect.bisect_left(steps, p - 2 * POLE_GAP)
-        while i < len(steps) and steps[i] <= p + 2 * POLE_GAP:
-            if abs(steps[i] - p) <= POLE_GAP:
-                keep[i] = False
-            i += 1
-    return sorted([b for b, k in zip(steps, keep) if k]
-                  + [b for p in poles for b in (p - POLE_GAP, p + POLE_GAP)
-                     if b <= beta_max])
-
-
 def _check_sector(alpha: float, order: int, beta_max: float) -> None:
     _check_alpha(alpha)
     if order < 1:
@@ -337,15 +322,17 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
     which is how truncation columns of the reference eigenvalue tables are
     recomputed.  The roots are the eigenvalues of the order-N block of the
     sector's five-term pencil; the scan only chooses which are states.  Its
-    grid, spaced by scan_step, runs from beta = 0, stepping over every
-    marching pole k(k+1) of order N (it evaluates k(k+1) +/- POLE_GAP and
-    never brackets that interval), to beta_max or one step past the
-    largest real part of a root, beyond which no root can be bracketed.
-    Each sign change reports the real root nearest its bracket, with its
-    order N+2 partner and eigenfunction from the same pencil; one with no
-    real root within scan_step of its bracket raises ``ArithmeticError``.
-    Returns (accepted, []).  Rejects alpha, order and beta_max as
-    ``find_eigenvalues`` does.
+    grid is the multiples of scan_step from beta = 0 to beta_max or one
+    step past the largest real part of a root, beyond which no root can
+    be bracketed; a step within POLE_GAP of a marching pole k(k+1) of
+    order N moves to k(k+1) - POLE_GAP.  Each value is signed by (-1) per
+    pole below it, which undoes the march's sign flip at each pole, so a
+    bracket may contain a pole.  Each sign change reports the real root
+    nearest its bracket, with its order N+2 partner and eigenfunction from
+    the same pencil; one with no real root within scan_step of its bracket
+    raises ``ArithmeticError``, and one whose nearest root lies past
+    beta_max is skipped.  Returns (accepted, []).  Rejects alpha, order
+    and beta_max as ``find_eigenvalues`` does.
     """
     _check_sector(alpha, order, beta_max)
     pencil = _pencil(lambda n, b: _d_row_five(n, alpha, mode.m, b), mode.parity, order)
@@ -353,9 +340,14 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
     real = roots[roots.imag == 0.0].real
     roots_n2 = _block_roots(pencil, mode.parity, order + 2)
     poles = _poles(mode.parity, order)
-    grid = _scan_grid(poles, min(beta_max, float(np.max(roots.real, initial=0.0)) + scan_step),
-                      scan_step)
-    vals = [determinant(alpha, mode, b, order) for b in grid]
+    top = min(beta_max, float(np.max(roots.real, initial=0.0)) + scan_step)
+    grid = []
+    for b in (scan_step * k for k in range(int(math.floor(top / scan_step)) + 1)):
+        j = bisect.bisect_left(poles, b - POLE_GAP)
+        grid.append(poles[j] - POLE_GAP if j < len(poles) and poles[j] - b <= POLE_GAP else b)
+    # the sign of eq. (14)'s numerator: the march divides once by each pole below b
+    vals = [determinant(alpha, mode, b, order) * (-1) ** bisect.bisect_left(poles, b)
+            for b in grid]
     accepted: list[Eigenpair] = []
     for i in range(len(grid) - 1):
         lo, hi = grid[i], grid[i + 1]
@@ -363,15 +355,14 @@ def determinant_scan(alpha: float, mode: ModeSpec, order: int, beta_max: float,
             continue
         if math.copysign(1.0, vals[i]) == math.copysign(1.0, vals[i + 1]):
             continue
-        j = bisect.bisect_right(poles, lo)
-        if j < len(poles) and poles[j] < hi:
-            continue  # a sign change across a pole, not a root
         dist = np.abs(real - 0.5 * (lo + hi))
         if not dist.size or dist.min() > 0.5 * (hi - lo) + scan_step:
             raise ArithmeticError(f"no real order-{order} root within {scan_step} of the "
                                   f"sign change in [{lo}, {hi}] (alpha {alpha}, "
                                   f"m {mode.m}, {mode.parity})")
         beta = float(real[np.argmin(dist)])
+        if beta > beta_max:
+            continue  # the last bracket's root lies just past beta_max
         accepted.append(_eigenpair(alpha, mode, _series(pencil, mode, beta, order),
                                    beta, roots_n2))
     return accepted, []
@@ -384,17 +375,18 @@ def find_eigenvalues(alpha: float, mode: ModeSpec, order: int = 10,
     One pencil A + beta B per sector, of three-term rows at m = 0 and
     five-term rows otherwise.  m = 0 takes the eigenvalues of its order-N
     block, real and positive from one Cholesky factor (``_m0_ritz``); m != 0
-    scans the normalized determinant at order N in steps of 0.02, stepping
-    over its marching poles, and takes the real root of its order-N block
-    nearest each sign change (``determinant_scan``).  Each
-    state's order N+2 value is the nearest real root of the N+2 block, and
-    its eigenfunction the smallest right singular vector of the whole
-    block, scaled to max |d| = 1 with d_floor >= 0.  Results are sorted
-    ascending.  The exact constant mode at beta = 0 (m = 0, even) is
-    included flagged ``trivial``.  No root is dropped: ``Eigenpair.converged``
-    is the verdict, from the order N versus N+2 estimate in
-    ``diagnostics.convergence_estimate``.  A non-finite beta_max raises
-    ``ValueError``.
+    scans the normalized determinant at order N in steps of 0.02, with the
+    sign flip at each marching pole undone, and takes the real root of its
+    order-N block nearest each sign change (``determinant_scan``), up to
+    beta_max.  Each state's order N+2 value is the nearest real root of the
+    N+2 block, and its eigenfunction the smallest right singular vector of
+    the whole block, scaled to max |d| = 1 with d_floor >= 0.  Results are
+    sorted ascending.  The exact constant mode at beta = 0 (m = 0, even) is
+    included flagged ``trivial``.  No root is screened out:
+    ``Eigenpair.converged`` is the verdict, from the order N versus N+2
+    estimate in ``diagnostics.convergence_estimate``.  But an m != 0 root
+    the scan does not bracket is missed without notice, as happens below
+    alpha of about 3e-5.  A non-finite beta_max raises ``ValueError``.
     """
     _check_sector(alpha, order, beta_max)
     if mode.m == 0:
