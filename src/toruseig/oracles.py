@@ -21,8 +21,8 @@ Two methods that share no machinery with the Fourier recursion:
   narrow window about the bracket's midpoint, as callers centre the
   bracket on an estimate, and widens to the bracket's ends only when the
   defect keeps its sign there.  The forward/backward consistency check
-  runs once, at the root.  Sampling a trajectory batches
-  its legs by step count.
+  runs once, at the root.  Sampling folds every target onto the half loop
+  ahead of the launch and sweeps it once, batching legs by step count.
 
 * A flux-form central finite difference of the self-adjoint form
 
@@ -290,47 +290,46 @@ def rk_sample(alpha: float, m: int, beta: float, parity: Parity,
               config: OracleConfig = OracleConfig()) -> list[tuple[float, float]]:
     """Trajectory values psi(theta), normalized by the launch condition.
 
-    Points left of -pi/2 ride the backward branch.  Each branch visits its
-    targets in one sweep outward from the launch, with step counts scaled
-    to the length of each leg so resolution matches the configured
-    per-half-loop density.  A leg's step matrices do not depend on the
-    state it carries, so the legs that share a step count are multiplied
-    out together, in batches of at most one half loop's nodes, and only the
-    2x2 products are chained.
+    Every target is read off the half loop [-pi/2, pi/2] ahead of the
+    launch, so no leg reaches the barrier at 3pi/2: one inside as given,
+    one outside [-3pi/2, pi/2] reduced into it by whole periods, and one
+    left of -pi/2 from its mirror -pi - theta times +1 (even) or -1 (odd).
+    w and q are even and p odd about -pi/2, so the mirror holds for the
+    parity launch at every beta and values on [-3pi/2, pi/2] are its
+    trajectory; other targets rely on periodicity, exact at an eigenvalue.
+
+    One outward sweep visits the distinct folded targets at the configured
+    step density.  Its legs span at most one half loop, so those that share
+    a step count form one batch, and only the 2x2 products are chained.
     """
     _check_alpha(alpha)
-    launch = _launch(parity)
-    values = [launch.psi] * len(thetas)
-    legs = []       # (start, end, steps, target) per branch, outward
-    for outward in (1.0, -1.0):
-        start, branch = launch.theta, []
-        targets = [i for i, t in enumerate(thetas) if outward * (t - launch.theta) > 0]
-        for i in sorted(targets, key=lambda i: outward * thetas[i]):
-            span = abs(thetas[i] - start)
-            steps = max(2, int(round(config.rk_step_count * span / pi))) if span else 0
-            branch.append((start, float(thetas[i]), steps, i))
-            start = float(thetas[i])
-        legs.append(branch)
+    _check_parity(parity)
+    launch, sign = _launch(parity), 1.0 if parity == "even" else -1.0
+    folded = []     # (point on the half loop, factor) per target
+    for theta in map(float, thetas):
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        if not -3 * pi / 2 <= theta <= pi / 2:
+            theta = (theta + 3 * pi / 2) % (2 * pi) - 3 * pi / 2
+        mirror = theta < -pi / 2
+        folded.append((min(-pi - theta if mirror else theta, pi / 2), sign if mirror else 1.0))
+    ends = sorted({u for u, _ in folded if u > launch.theta})
+    legs = [(start, end, max(2, int(round(config.rk_step_count * (end - start) / pi))))
+            for start, end in zip([launch.theta] + ends, ends)]
     products = {}
     by_steps: dict[int, list[tuple[float, float]]] = {}
-    for start, end, steps, _ in legs[0] + legs[1]:
-        if steps:
-            by_steps.setdefault(steps, []).append((start, end))
+    for start, end, steps in legs:
+        by_steps.setdefault(steps, []).append((start, end))
     for steps, group in by_steps.items():
-        size = max(1, (2 * config.rk_step_count + 1) // (2 * steps + 1))
-        for j in range(0, len(group), size):
-            batch = group[j:j + size]
-            start, end = (np.array(x)[:, None] for x in zip(*batch))
-            p, q = _coefficients(alpha, m, start, end, steps)
-            mats = _step_product(q - beta, -p, (end - start) / steps)
-            products.update(zip(batch, zip(*mats)))
-    for branch in legs:
-        state = launch
-        for start, end, steps, i in branch:
-            if steps:
-                state = _advance(state, products[start, end], beta, steps, end)
-            values[i] = state.psi
-    return [(float(t), v) for t, v in zip(thetas, values)]
+        start, end = (np.array(x)[:, None] for x in zip(*group))
+        p, q = _coefficients(alpha, m, start, end, steps)
+        mats = _step_product(q - beta, -p, (end - start) / steps)
+        products.update(zip(group, zip(*mats)))
+    psi, state = {launch.theta: launch.psi}, launch
+    for start, end, steps in legs:
+        state = _advance(state, products[start, end], beta, steps, end)
+        psi[end] = state.psi
+    return [(float(t), factor * psi[u]) for t, (u, factor) in zip(thetas, folded)]
 
 
 def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,

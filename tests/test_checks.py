@@ -3,7 +3,7 @@ without argparse, print what the commands print."""
 
 import pytest
 
-from toruseig import checks
+from toruseig import checks, oracles
 from toruseig.cli import main, render_json
 
 
@@ -40,6 +40,22 @@ def test_compare_state_renders_the_compare_output(capsys):
     assert render_json(payload) == text
     assert sorted(payload["pairwise"]) == ["fd-fourier", "fd-rk", "fourier-rk"]
     assert code == 0 and payload["pass"] is True
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("alpha", [0.9, 0.95, 0.99])
+def test_compare_state_eigenfunction_passes_at_high_alpha(alpha, m, parity):
+    # the RK samples must not ride past the outer equator into the barrier
+    # at 3pi/2, where the growing solution swamps the eigenfunction
+    betas = [p.beta for p in oracles.fd_spectrum(alpha, m, grid_size=512, k_lowest=4,
+                                                 parity=parity)]
+    beta_max = betas[3 if (m, parity) == (0, "even") else 2] + 0.5
+    for state in (1, 2, 3):
+        payload = checks.compare_state(alpha, m, parity, state, order=80,
+                                       beta_max=beta_max, methods=["fourier", "rk"],
+                                       rk_steps=4096, fd_grid=1024)
+        assert payload["eigenfunction"]["pass"], (state, payload["eigenfunction"])
 
 
 class TestFindState:

@@ -112,21 +112,6 @@ class TestRkSample:
         result = compare_scaled(samples, list(zip(thetas, reference)))
         assert result.max_abs_deviation < 5e-4
 
-    def test_reflection_symmetry_about_outer_equator(self):
-        # at an eigenvalue, psi(pi/2 - t) = +/- psi(pi/2 + t); the backward
-        # branch reaches pi/2 + t as -3pi/2 + t
-        for parity, bracket, sign in (("even", (1.0, 1.3), 1.0),
-                                      ("odd", (0.9, 1.05), -1.0)):
-            beta = rk_find_eigenvalue(ALPHA, 0, parity, bracket, FAST).beta
-            ts = [0.3, 0.9, 1.4]
-            left = rk_sample(ALPHA, 0, beta, parity,
-                             [math.pi / 2 - t for t in ts], FAST)
-            right = rk_sample(ALPHA, 0, beta, parity,
-                              [-3 * math.pi / 2 + t for t in ts], FAST)
-            peak = max(abs(v) for _, v in left)
-            for (_, vl), (_, vr) in zip(left, right):
-                assert vl == pytest.approx(sign * vr, abs=1e-5 * peak)
-
     def test_divergence_reports_context(self):
         # a huge negative-beta-like configuration cannot arise through the
         # public API; force divergence with an absurd eigenvalue.  The
@@ -136,13 +121,26 @@ class TestRkSample:
             with pytest.raises(OracleError, match=r"beta=100000000\.0, steps=128, theta="):
                 rk_mismatch(ALPHA, 0, 1e8, "even", OracleConfig(rk_step_count=128))
 
-    def test_sweep_matches_integration_from_launch(self):
-        # one sweep per branch, in any input order, against an independent
-        # integration from -pi/2 to each point at the same step density
-        thetas = [2.0, -2.5, 0.3, -math.pi / 2, 4.0, -4.5, 0.3, -1.0]
-        samples = rk_sample(ALPHA, 1, 1.663, "even", thetas, FAST)
+    def test_parity_validation(self):
+        with pytest.raises(ValueError, match="parity must be 'even' or 'odd', got 'evn'"):
+            rk_sample(ALPHA, 1, 1.663, "evn", [0.1, 0.2], FAST)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_is_named(self, theta):
+        with pytest.raises(ValueError, match=f"theta must be finite, got {theta}"):
+            rk_sample(ALPHA, 1, 1.663, "even", [0.3, theta], FAST)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_sweep_matches_integration_from_launch(self, parity):
+        # beta = 1.663 is no eigenvalue, yet every target in [-3pi/2, pi/2],
+        # in any input order, is the initial-value trajectory: targets right
+        # of -pi/2 against one forward integration from the launch each, and
+        # those left of it (read off their mirror) against a backward one
+        thetas = [1.2, -2.5, 0.3, -math.pi / 2, math.pi / 2, -4.5, 0.3, -1.0,
+                  -3 * math.pi / 2, -1.7]
+        samples = rk_sample(ALPHA, 1, 1.663, parity, thetas, FAST)
         assert [t for t, _ in samples] == thetas
-        launch = ShootingState(theta=-math.pi / 2, psi=1.0, dpsi=0.0)
+        launch = oracles._launch(parity)
         for theta, value in samples:
             steps = max(2, round(1024 * abs(theta + math.pi / 2) / math.pi))
             ref = (launch.psi if theta == -math.pi / 2 else
@@ -153,23 +151,40 @@ class TestRkSample:
     @pytest.mark.parametrize("m", [0, 3])
     @pytest.mark.parametrize("alpha", [0.1, 0.9])
     def test_batched_legs_equal_the_leg_by_leg_chain(self, parity, m, alpha):
-        # the compare angles, and a mix of both branches, repeats and
-        # legs longer than a half loop, against one _integrate call per leg
-        for thetas in ([2.0 * math.pi * j / 24 for j in range(24)],
-                       [2.0, -2.5, 0.3, -math.pi / 2, 4.0, -4.5, 0.3, -1.0, 7.0]):
+        # targets on the launch's half loop, with repeats and in any order,
+        # against one _integrate call per leg of the outward chain
+        for thetas in ([math.pi * j / 12 - math.pi / 2 for j in range(13)],
+                       [1.2, 0.3, -math.pi / 2, math.pi / 2, 0.3, -1.0, 1e-3]):
             samples = rk_sample(alpha, m, 2.3, parity, thetas, FAST)
-            expected = {}
-            for outward in (1.0, -1.0):
-                state = oracles._launch(parity)
-                for theta in sorted((t for t in thetas if outward * (t + math.pi / 2) > 0),
-                                    key=lambda t: outward * t):
-                    span = abs(theta - state.theta)
-                    if span > 0.0:
-                        steps = max(2, int(round(1024 * span / math.pi)))
-                        state = oracles._integrate(alpha, m, 2.3, state, theta, steps)
-                    expected[theta] = state.psi
+            state = oracles._launch(parity)
+            expected = {state.theta: state.psi}
+            for theta in sorted(set(thetas) - {state.theta}):
+                steps = max(2, int(round(1024 * (theta - state.theta) / math.pi)))
+                state = oracles._integrate(alpha, m, 2.3, state, theta, steps)
+                expected[theta] = state.psi
             for theta, value in samples:
-                assert value == expected.get(theta, oracles._launch(parity).psi)
+                assert value == expected[theta]
+
+    @pytest.mark.parametrize("thetas", [[2.0 * math.pi * j / 24 for j in range(24)],
+                                        np.linspace(-4.5, 7.0, 47).tolist()])
+    def test_legs_stay_on_the_launch_half_loop(self, monkeypatch, thetas):
+        # compare's samples and a mix of both sides of the barrier: no leg
+        # leaves [-pi/2, pi/2], and the legs take one half loop's steps
+        # (plus the rounding of each leg's count up to 2 more)
+        legs = []
+        inner = oracles._coefficients
+
+        def recording(alpha, m, start, end, steps):
+            legs.extend((s, e, steps) for s, e in zip(start.ravel(), end.ravel()))
+            return inner(alpha, m, start, end, steps)
+
+        monkeypatch.setattr(oracles, "_coefficients", recording)
+        for parity in ("even", "odd"):
+            legs.clear()
+            rk_sample(0.9, 3, 11.1, parity, thetas, FAST)
+            assert legs
+            assert all(-math.pi / 2 <= s < e <= math.pi / 2 for s, e, _ in legs)
+            assert sum(steps for _, _, steps in legs) <= 1024 + 2 * len(legs)
 
 
 def _scalar_rk4(alpha, m, beta, state, theta_end, steps):
