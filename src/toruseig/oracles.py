@@ -29,20 +29,21 @@ Two methods that share no machinery with the Fourier recursion:
       -d/dtheta[(1 + alpha sin) psi'] + m^2 alpha^2/(1 + alpha sin) psi
           = beta (1 + alpha sin) psi
 
-  on a uniform periodic grid.  The operator commutes with the reflection
-  theta -> pi - theta, which maps the grid onto itself (an odd grid is
-  placed with a node at pi/2), so the periodic matrix splits into an even
-  and an odd sector, each a symmetric tridiagonal matrix on the half loop
-  pi/2..3pi/2 (a diagonal similarity by the square root of the weight
-  makes it symmetric, so eigenvalues are guaranteed real).  Only the
+  on a uniform periodic grid with a node at pi/2.  The operator commutes
+  with the reflection theta -> pi - theta, which maps the grid onto
+  itself, so the periodic matrix splits into an even and an odd sector,
+  each a symmetric tridiagonal matrix on the half loop pi/2..3pi/2 (a
+  diagonal similarity by the square root of the weight makes it
+  symmetric, so eigenvalues are guaranteed real).  Only the
   lowest k eigenvalues of a sector are computed: the Sturm count (the
   LDL^T inertia of the shifted matrix) brackets each one, and Laguerre's
   iteration converges on it, in O(n k) work and O(n) memory with no dense
   matrix.  A sector is positive semidefinite, so its search starts at 0
   (less a rounding-level margin) rather than at the Gershgorin bound that
-  a general symmetric tridiagonal matrix needs.  Each sector is paired
-  with the same sector of a half-resolution run and
-  Richardson-extrapolated, which removes the leading h^2 error.
+  a general symmetric tridiagonal matrix needs.  A call answers for one
+  sector: it is paired with the same sector of the half grid, whose nodes
+  are every other node of the grid, and Richardson-extrapolated, which
+  removes the leading h^2 error.
 """
 
 from __future__ import annotations
@@ -333,22 +334,21 @@ def rk_sample(alpha: float, m: int, beta: float, parity: Parity,
 
 
 def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
-                k_lowest: int = 8, parity: Parity | None = None) -> list[SpectralPoint]:
-    """Lowest eigenvalues from the periodic flux-form discretization.
+                k_lowest: int = 8, *, parity: Parity) -> list[SpectralPoint]:
+    """Lowest eigenvalues of one mirror sector of the periodic flux-form
+    discretization.
 
-    Pairs each mirror sector of the grid with the same sector of its half,
-    Richardson-extrapolates each pair (the discretization is second order,
-    so the combination cancels the leading error term), and reports the
-    correction magnitude as the per-eigenvalue error estimate.  With
-    ``parity`` the result is that sector only; without, both sectors merged.
-    Each sector is solved for its lowest ``k_lowest`` eigenvalues only, by
+    Pairs the ``parity`` sector of the grid with the same sector of its
+    half, Richardson-extrapolates the pair (the discretization is second
+    order, so the combination cancels the leading error term), and reports
+    the correction magnitude as the per-eigenvalue error estimate.  The
+    sector is solved for its lowest ``k_lowest`` eigenvalues only, by
     Sturm counts and Laguerre steps on its tridiagonal matrix: O(n k_lowest)
     work and no dense matrix.  Near the half grid's cutoff the extrapolated
-    values stop rising, so each sector ends before its first descent and
+    values stop rising, so the sector ends before its first descent and
     the result is ascending; a ``k_lowest`` past that end raises
     ``ValueError`` naming the largest valid value.  A descent inside the
-    computed values gives the same end as a descent in the whole sector,
-    and a sector without one supplies ``k_lowest`` values on its own.
+    computed values gives the same end as a descent in the whole sector.
     """
     n = grid_size
     if n < 64 or n % 2:
@@ -357,65 +357,50 @@ def fd_spectrum(alpha: float, m: int, grid_size: int = 1024,
         raise ValueError(f"grid_size is capped at {FD_GRID_CAP}")
     if not 1 <= k_lowest <= n // 2:
         raise ValueError(f"k_lowest must be in [1, {n // 2}], got {k_lowest}")
-    if parity is not None:
-        _check_parity(parity)
+    _check_parity(parity)
     _check_alpha(alpha)
-    points = []
-    for p in ("even", "odd") if parity is None else (parity,):
-        full = _fd_raw(alpha, m, n, p, k_lowest)
-        half = _fd_raw(alpha, m, n // 2, p, k_lowest)
-        k = min(full.size, half.size)
-        corr = (full[:k] - half[:k]) / 3.0
-        beta = full[:k] + corr
-        # 64 points, alpha 0.9, m 3, even: ..., 222.2, 234.4, 218.1, 158.1
-        descents = np.flatnonzero(np.diff(beta) < 0.0)
-        k = int(descents[0]) + 1 if descents.size else k
-        points += zip(beta[:k].tolist(), corr[:k].tolist())
-    points.sort()
-    if len(points) < k_lowest:
+    full = _fd_raw(alpha, m, n, parity, k_lowest)
+    half = _fd_raw(alpha, m, n // 2, parity, k_lowest)
+    k = min(full.size, half.size)
+    corr = (full[:k] - half[:k]) / 3.0
+    beta = full[:k] + corr
+    # 64 points, alpha 0.9, m 3, even: ..., 222.2, 234.4, 218.1, 158.1
+    descents = np.flatnonzero(np.diff(beta) < 0.0)
+    k = int(descents[0]) + 1 if descents.size else k
+    if k < k_lowest:
         raise ValueError(
-            f"k_lowest={k_lowest} exceeds the {len(points)} {parity or 'merged'} "
-            f"values that extrapolate in order from grids {n} and {n // 2}; "
-            f"use k_lowest <= {len(points)}"
+            f"k_lowest={k_lowest} exceeds the {k} {parity} values that "
+            f"extrapolate in order from grids {n} and {n // 2}; "
+            f"use k_lowest <= {k}"
         )
     return [SpectralPoint(beta=max(0.0, b), error_estimate=abs(c))
-            for b, c in points[:k_lowest]]
+            for b, c in zip(beta[:k_lowest].tolist(), corr[:k_lowest].tolist())]
 
 
 def _fd_raw(alpha: float, m: int, n: int, parity: Parity, k: int) -> np.ndarray:
     """The lowest k eigenvalues, ascending, of one mirror sector of the
     grid of n points (all of them if the sector has fewer).
 
-    An even grid has nodes j h, an odd grid pi/2 + j h, so theta -> pi - theta
-    carries either onto itself.  The sector lives on the nodes of the half
-    loop pi/2..3pi/2, and each of its two ends is a node or half a step off.
-    A node end is a fixed point: the even sector keeps it with half its mass
-    and diagonal, the odd sector (which vanishes there) drops it.  At a
-    half-step end the end node's mirror neighbour is the end node itself, so
-    its coupling returns to the diagonal with the sector's sign.  Both ends
-    are nodes when n % 4 == 0, neither when n % 4 == 2, and only pi/2 when n
-    is odd.
+    Every grid has nodes pi/2 + j h, so theta -> pi - theta carries it onto
+    itself, and the grid of n/2 points is every other node of the grid of
+    n.  The sector lives on the nodes of the half loop pi/2..3pi/2.  pi/2
+    is a node, and so is 3pi/2 when n is even.  A node end is a fixed
+    point: the even sector keeps it with half its mass and diagonal, the
+    odd sector (which vanishes there) drops it.  For odd n, 3pi/2 lies half
+    a step past the last node, whose mirror neighbour is then the node
+    itself, so its coupling returns to the diagonal with the sector's sign.
     """
     h = 2.0 * pi / n
+    theta = (np.arange(n // 2 + 1) + n / 4) * h
+    diag, off, mass = _fd_rows(alpha, m, theta, h)
     if n % 2:
-        theta = pi / 2 + np.arange(n // 2 + 1) * h
-        node_ends = (True, False)
+        diag[-1] += (1.0 if parity == "even" else -1.0) * off[-1]
+    if parity == "even":
+        node_ends = [0] if n % 2 else [0, -1]
+        diag[node_ends] *= 0.5
+        mass[node_ends] *= 0.5
     else:
-        quarter, rem = divmod(n, 4)
-        first = quarter if rem == 0 else quarter + 1
-        theta = np.arange(first, first + n // 2 + 1 - rem // 2) * h
-        node_ends = (rem == 0, rem == 0)
-    diag, off, mass, wm = _fd_rows(alpha, m, theta, h)
-    sign = 1.0 if parity == "even" else -1.0
-    for end, node, mirror in ((0, node_ends[0], -wm[0] / h**2),
-                              (-1, node_ends[1], off[-1])):
-        if not node:
-            diag[end] += sign * mirror
-        elif parity == "even":
-            diag[end] *= 0.5
-            mass[end] *= 0.5
-    if parity == "odd":
-        keep = slice(int(node_ends[0]), len(theta) - int(node_ends[1]))
+        keep = slice(1, len(theta) - 1 + n % 2)
         diag, off, mass = diag[keep], off[keep], mass[keep]
     s = 1.0 / np.sqrt(mass)
     # a flux-form stiffness, a non-negative m^2 alpha^2 / w and a positive
@@ -425,12 +410,12 @@ def _fd_raw(alpha: float, m: int, n: int, parity: Parity, k: int) -> np.ndarray:
 
 
 def _fd_rows(alpha: float, m: int, theta: np.ndarray, h: float):
-    """Diagonal, coupling to the next node, weight and left-face weight."""
+    """Diagonal, coupling to the next node, and weight."""
     w = 1.0 + alpha * np.sin(theta)
     wp = 1.0 + alpha * np.sin(theta + h / 2)   # weight at j+1/2 faces
     wm = 1.0 + alpha * np.sin(theta - h / 2)
     diag = (wp + wm) / h**2 + m * m * alpha * alpha / w
-    return diag, -wp / h**2, w, wm
+    return diag, -wp / h**2, w
 
 
 def _lowest_eigenvalues(diag: np.ndarray, sub: np.ndarray, k: int, *,

@@ -37,6 +37,7 @@ Since psi is real, c_{-k} = conj(c_k): psi = a_0 + sum_k a_k cos(k theta)
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -72,8 +73,14 @@ class ModeSpec:
     parity: Parity
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and self.m >= 0):
+        # any integer type (numpy's too) is stored as int, so JSON sees an int
+        try:
+            m = operator.index(self.m)
+        except TypeError:
+            m = -1      # not an integer: rejected like a negative one
+        if m < 0:
             raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+        object.__setattr__(self, "m", int(m))
         _check_parity(self.parity)
 
 

@@ -205,15 +205,18 @@ class TestCriterion6:
         cases = {0: (10.5, [1.122288, 4.051724, 9.041068]),
                  1: (5.5, [0.249368, 1.663015, 4.476692]),
                  5: (16.5, [3.705427, 8.853639, 15.164616])}
+        # each state against the FD state of the same sector and index,
+        # the constant mode counted as compare does
         for m, (beta_max, _) in cases.items():
             pairs = find_eigenvalues(ALPHA, ModeSpec(m, "even"), order=10,
                                      beta_max=beta_max)
-            fourier = [p.beta for p in pairs if not p.trivial][:3]
+            fourier = [(i, p.beta) for i, p in enumerate(pairs) if not p.trivial][:3]
             assert len(fourier) == 3
             fd = [s.beta for s in fd_spectrum(ALPHA, m, grid_size=1024,
-                                              k_lowest=10)]
-            for b in fourier:
-                assert min(abs(b - f) for f in fd) <= 1e-4
+                                              k_lowest=fourier[-1][0] + 1,
+                                              parity="even")]
+            for i, b in fourier:
+                assert abs(b - fd[i]) <= 1e-4
 
     def test_6d_weighted_orthogonality(self):
         for m, beta_max in ((0, 10.5), (1, 5.5)):

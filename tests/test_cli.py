@@ -272,7 +272,8 @@ class TestCompareCommand:
             assert block["estimate"] == pytest.approx(9.0e-6, abs=0.1e-6)
 
     def test_fd_matches_high_state_of_one_parity(self, tmp_path):
-        # state 8 of the even sector lies past the 12 lowest merged FD states
+        # state 8 of the even sector lies past the 12 lowest FD states of both
+        # sectors together
         code, text = run_cli(tmp_path, "compare", "--m", "0", "--state", "8",
                              "--methods", "fourier,fd", "--beta-max", "80",
                              "--order", "20")

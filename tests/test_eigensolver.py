@@ -396,27 +396,29 @@ class TestFindEigenvalues:
 
     def test_alternate_geometry_matches_fd_oracle(self):
         # nothing is tuned to the reference aspect ratio: at alpha = 0.3 the
-        # m = 2 spectrum must still track the independent discretization
+        # m = 2 spectrum must still track the independent discretization,
+        # state by state in each sector
         alpha = 0.3
-        fd = [s.beta for s in fd_spectrum(alpha, 2, grid_size=1024, k_lowest=8)]
-        mine = []
+        found = 0
         for parity in ("even", "odd"):
             pairs = find_eigenvalues(alpha, ModeSpec(2, parity), order=12,
                                      beta_max=10.0)
-            mine += [p.beta for p in pairs]
-        assert len(mine) >= 6
-        for b in mine:
-            assert min(abs(b - f) for f in fd) < 1e-6
+            fd = [s.beta for s in fd_spectrum(alpha, 2, grid_size=1024,
+                                              k_lowest=len(pairs), parity=parity)]
+            for p, f in zip(pairs, fd):
+                assert abs(p.beta - f) < 1e-6
+            found += len(pairs)
+        assert found >= 6
 
     def test_completeness_matches_fd_oracle(self):
-        mine = []
         for parity in ("even", "odd"):
             pairs = find_eigenvalues(ALPHA, ModeSpec(0, parity), order=12,
                                      beta_max=10.0)
-            mine += [p.beta for p in pairs if not p.trivial]
-        fd = [s.beta for s in fd_spectrum(ALPHA, 0, grid_size=1024, k_lowest=12)
-              if 1e-6 < s.beta <= 10.0]
-        assert len(mine) == len(fd)
+            mine = [p.beta for p in pairs if not p.trivial]
+            fd = [s.beta for s in fd_spectrum(ALPHA, 0, grid_size=1024, k_lowest=12,
+                                              parity=parity)
+                  if 1e-6 < s.beta <= 10.0]
+            assert len(mine) == len(fd)
 
     def test_validation(self):
         with pytest.raises(ValueError):

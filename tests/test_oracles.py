@@ -57,6 +57,22 @@ class TestRkMismatch:
         with pytest.raises(ValueError):
             OracleConfig(rk_step_count=10)
 
+    def test_forward_backward_disagreement_is_named(self, monkeypatch):
+        # a backward path that does not mirror the forward one is reported
+        # with the beta and the step count, not returned as a defect
+        inner = oracles._integrate
+
+        def perturbed(alpha, m, beta, state, theta_end, steps):
+            end = inner(alpha, m, beta, state, theta_end, steps)
+            if theta_end < state.theta:
+                end = ShootingState(end.theta, end.psi + 0.1, end.dpsi + 0.1)
+            return end
+
+        monkeypatch.setattr(oracles, "_integrate", perturbed)
+        for parity in ("even", "odd"):
+            with pytest.raises(OracleError, match=r"beta=1\.2345\b.*\(steps=1024\)"):
+                rk_mismatch(ALPHA, 1, 1.2345, parity, FAST)
+
 
 class TestRkFindEigenvalue:
     @pytest.mark.parametrize("m,bracket", list(DE_VALUES))
@@ -249,26 +265,30 @@ class TestStepMatrixKernel:
 
 class TestFdSpectrum:
     def test_trivial_mode(self):
-        points = fd_spectrum(ALPHA, 0, grid_size=1024, k_lowest=1)
+        points = fd_spectrum(ALPHA, 0, grid_size=1024, k_lowest=1, parity="even")
         assert abs(points[0].beta) < 1e-10
 
     def test_ground_state_within_discretization_error(self):
-        points = fd_spectrum(ALPHA, 0, grid_size=1024, k_lowest=3)
-        assert points[2].beta == pytest.approx(1.12229, abs=1e-4)
+        points = fd_spectrum(ALPHA, 0, grid_size=1024, k_lowest=2, parity="even")
+        assert points[1].beta == pytest.approx(1.12229, abs=1e-4)
 
     def test_flat_ring_limit(self):
-        points = fd_spectrum(1e-3, 0, grid_size=1024, k_lowest=5)
-        betas = [p.beta for p in points]
-        assert betas[0] == pytest.approx(0.0, abs=1e-6)
-        assert betas[1:5] == pytest.approx([1.0, 1.0, 4.0, 4.0], abs=1e-2)
+        even = [p.beta for p in fd_spectrum(1e-3, 0, grid_size=1024, k_lowest=3,
+                                            parity="even")]
+        odd = [p.beta for p in fd_spectrum(1e-3, 0, grid_size=1024, k_lowest=2,
+                                           parity="odd")]
+        assert even[0] == pytest.approx(0.0, abs=1e-6)
+        assert even[1:] == pytest.approx([1.0, 4.0], abs=1e-2)
+        assert odd == pytest.approx([1.0, 4.0], abs=1e-2)
 
     def test_error_estimates_attached(self):
-        points = fd_spectrum(ALPHA, 1, grid_size=256, k_lowest=4)
-        assert all(p.error_estimate is not None for p in points)
+        for parity in ("even", "odd"):
+            points = fd_spectrum(ALPHA, 1, grid_size=256, k_lowest=4, parity=parity)
+            assert all(p.error_estimate is not None for p in points)
 
     def test_grid_doubling_convergence(self):
         # extrapolated values gain at least 3x per doubling
-        runs = {n: fd_spectrum(ALPHA, 0, grid_size=n, k_lowest=3)[2].beta
+        runs = {n: fd_spectrum(ALPHA, 0, grid_size=n, k_lowest=2, parity="even")[1].beta
                 for n in (256, 512, 1024)}
         d1 = abs(runs[512] - runs[256])
         d2 = abs(runs[1024] - runs[512])
@@ -277,16 +297,23 @@ class TestFdSpectrum:
     def test_grid_validation(self):
         for bad in (63, 130          + 1, 4096):
             with pytest.raises(ValueError):
-                fd_spectrum(ALPHA, 0, grid_size=bad)
+                fd_spectrum(ALPHA, 0, grid_size=bad, parity="even")
         with pytest.raises(ValueError):
-            fd_spectrum(ALPHA, 0, grid_size=256, k_lowest=0)
+            fd_spectrum(ALPHA, 0, grid_size=256, k_lowest=0, parity="even")
+
+    def test_parity_is_required(self):
+        # every call answers for one sector; both are two calls away
+        with pytest.raises(TypeError):
+            fd_spectrum(ALPHA, 0, grid_size=64)
+        with pytest.raises(TypeError):
+            fd_spectrum(ALPHA, 0, 64, 2, "even")
 
     @pytest.mark.parametrize("alpha", [math.nan, 1.0, 1.5])
     def test_alpha_validation(self, alpha):
         # outside (0, 1) the weight 1 + alpha sin vanishes or turns negative,
         # and a NaN would never end the Sturm bisection
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-            fd_spectrum(alpha, 0, grid_size=64)
+            fd_spectrum(alpha, 0, grid_size=64, parity="even")
 
     def test_inertia_pass_budget_per_sector(self, monkeypatch):
         # the sectors are positive semidefinite, so the Sturm search starts
@@ -311,7 +338,7 @@ class TestFdSpectrum:
 
     def test_semidefinite_start_keeps_the_constant_mode(self):
         # the m = 0 even sector's constant mode reads slightly below 0
-        # (-7.5e-12 at 1026 points): the floor sits below it, and the
+        # (-5.3e-11 at 1026 points): the floor sits below it, and the
         # values match a search from the Gershgorin interval
         for n in (1024, 1026, 2048):
             got = oracles._fd_raw(0.5, 0, n, "even", 3)
@@ -357,12 +384,12 @@ def _dense_periodic(alpha, m, n, offset=0.0):
 def _dense_sector(alpha, m, n, parity):
     """Lowest-first spectrum of one mirror sector of the periodic matrix.
 
-    theta -> pi - theta maps node j to n/2 - j (even n, nodes j h) or to -j
-    (odd n, nodes pi/2 + j h); the sector is the matrix restricted to the
-    vectors that the reflection keeps (even) or negates (odd).
+    theta -> pi - theta maps node j of pi/2 + j h to node -j; the sector is
+    the matrix restricted to the vectors that the reflection keeps (even)
+    or negates (odd).
     """
-    sym = _periodic_matrix(alpha, m, n, offset=(n % 2) * math.pi / 2)
-    mirror = (n // 2 * (1 - n % 2) - np.arange(n)) % n
+    sym = _periodic_matrix(alpha, m, n, offset=math.pi / 2)
+    mirror = -np.arange(n) % n
     sign = 1.0 if parity == "even" else -1.0
     basis = np.eye(n) + sign * np.eye(n)[mirror]
     keep = [j for j in range(n) if j <= mirror[j] and np.any(basis[j])]
@@ -392,25 +419,44 @@ class TestFdParitySectors:
     @pytest.mark.parametrize("alpha", [1e-3, 0.5, 0.9])
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_sectors_partition_dense_spectrum(self, n, alpha, m):
-        # an odd grid is mirror-symmetric when placed with a node at pi/2
+        # every grid is placed with a node at pi/2, so it is mirror-symmetric
         sectors = [oracles._fd_raw(alpha, m, n, p, n) for p in ("even", "odd")]
         assert sum(len(s) for s in sectors) == n
         merged = np.sort(np.concatenate(sectors))
-        dense = _dense_periodic(alpha, m, n, offset=(n % 2) * math.pi / 2)
+        dense = _dense_periodic(alpha, m, n, offset=math.pi / 2)
         assert np.max(np.abs(merged - dense)) <= 1e-9
 
     @pytest.mark.parametrize("n", [64, 66, 130, 1024])
     def test_merged_spectrum_matches_dense_richardson(self, n):
-        # an odd half grid (65, 33) is solved with a node at pi/2; the dense
-        # reference keeps it at 0, which the coarse 33 moves well inside the
-        # extrapolation's error estimate
+        # the two sector calls merged against the whole periodic grid and
+        # its half, both with a node at pi/2 as the library places them
         for alpha, m in ((0.3, 0), (0.5, 1), (0.9, 3), (0.9, 0)):
-            full, half = _dense_periodic(alpha, m, n), _dense_periodic(alpha, m, n // 2)
+            full, half = (_dense_periodic(alpha, m, g, offset=math.pi / 2)
+                          for g in (n, n // 2))
             ref = [max(0.0, f + (f - h) / 3.0) for f, h in zip(full[:12], half[:12])]
-            got = fd_spectrum(alpha, m, grid_size=n, k_lowest=12)
-            for point, r in zip(got, ref):
-                tol = max(1e-9, 1e-4 * point.error_estimate) if n == 66 else 1e-9
-                assert point.beta == pytest.approx(r, abs=tol)
+            got = sorted(p.beta for parity in ("even", "odd")
+                         for p in fd_spectrum(alpha, m, grid_size=n, k_lowest=12,
+                                              parity=parity))[:12]
+            assert got == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [64, 66, 130, 1026])
+    def test_half_grid_is_every_other_node(self, monkeypatch, n):
+        # the grid and its half share the node at pi/2, so Richardson pairs
+        # nested grids for every n
+        grids = {}
+        inner = oracles._fd_rows
+
+        def recording(alpha, m, theta, h):
+            grids[round(2.0 * math.pi / h)] = theta.copy()
+            return inner(alpha, m, theta, h)
+
+        monkeypatch.setattr(oracles, "_fd_rows", recording)
+        oracles._fd_raw(0.5, 1, n, "even", 1)
+        oracles._fd_raw(0.5, 1, n // 2, "even", 1)
+        full, half = grids[n], grids[n // 2]
+        for theta in (full, half):
+            assert theta[0] == pytest.approx(math.pi / 2, abs=1e-15)
+        assert half == pytest.approx(full[::2], rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [256, 258])
     def test_parity_labels_match_fourier(self, n):
@@ -420,8 +466,6 @@ class TestFdParitySectors:
         assert even[0] == pytest.approx(0.0, abs=1e-9)
         assert even[1] == pytest.approx(1.122286, abs=1e-3)
         assert odd[0] == pytest.approx(0.976731, abs=1e-3)
-        merged = [p.beta for p in fd_spectrum(ALPHA, 0, grid_size=n, k_lowest=5)]
-        assert sorted(even + odd) == pytest.approx(merged, abs=1e-12)
 
     def test_parity_beyond_sector_is_rejected(self):
         with pytest.raises(ValueError):
@@ -436,14 +480,10 @@ class TestFdParitySectors:
             fd_spectrum(0.9, 3, grid_size=64, k_lowest=17, parity="even")
         even = [p.beta for p in fd_spectrum(0.9, 3, grid_size=64, k_lowest=14, parity="even")]
         assert even == sorted(even)
-        with pytest.raises(ValueError, match=r"k_lowest <= 27\b"):
-            fd_spectrum(0.9, 3, grid_size=64, k_lowest=28)
-        merged = [p.beta for p in fd_spectrum(0.9, 3, grid_size=64, k_lowest=27)]
-        assert merged == sorted(merged)
-        # the sectors of a flat ring are nearly degenerate: the merge follows
-        # the extrapolated values, not the full-grid ones
-        flat = [p.beta for p in fd_spectrum(1e-3, 0, grid_size=64, k_lowest=32)]
-        assert flat == sorted(flat)
+        with pytest.raises(ValueError, match=r"k_lowest <= 13\b"):
+            fd_spectrum(0.9, 3, grid_size=64, k_lowest=14, parity="odd")
+        odd = [p.beta for p in fd_spectrum(0.9, 3, grid_size=64, k_lowest=13, parity="odd")]
+        assert odd == sorted(odd)
 
     def test_k_lowest_before_first_descent_matches_dense(self):
         # 13 values end before the even sector's descent at index 14, so the

@@ -333,6 +333,15 @@ class TestParity:
         with pytest.raises(ValueError):
             propagate(1.0, ModeSpec(0, "even"), ALPHA, 1.0, 0)
 
+    def test_mode_spec_takes_any_integer_type(self):
+        # numpy integers are stored as int, so JSON rendering sees an int
+        mode = ModeSpec(np.int64(2), "even")
+        assert mode.m == 2 and type(mode.m) is int
+        assert type(ModeSpec(np.uint8(3), "odd").m) is int
+        for bad in (2.0, np.float64(2.0), "2", -1, np.int64(-1)):
+            with pytest.raises(ValueError, match="m must be a nonnegative integer, got"):
+                ModeSpec(bad, "even")
+
     def test_odd_parity_c_minus_one_equals_c_one(self):
         # an odd state has c_{-n} = (-1)^(n+1) c_n; read both off an FFT of
         # the reconstruction and check the storage rule gives the same c_1
