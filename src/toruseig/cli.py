@@ -89,7 +89,8 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 # CSV columns: four per sector record, then four per eigenvalue, each with the
-# parser of its text
+# parser of its text; a sector with no states is one row with the eigenvalue
+# columns empty
 _SPECTRUM_COLUMNS = ("alpha", "m", "parity", "order", "beta", "trivial", "residual",
                      "converged")
 _SPECTRUM_PARSERS = (float, int, str, int, float, "true".__eq__, float, "true".__eq__)
@@ -123,10 +124,12 @@ def parse_spectrum(text: str, fmt: str) -> list[dict]:
         return payload["records"]
     records: dict[tuple, dict] = {}
     for row in csv.DictReader(io.StringIO(text)):
-        values = [parse(row[c]) for c, parse in zip(_SPECTRUM_COLUMNS, _SPECTRUM_PARSERS)]
-        rec = records.setdefault(tuple(values[:4]),
-                                 dict(zip(_SPECTRUM_COLUMNS[:4], values[:4]), eigenvalues=[]))
-        rec["eigenvalues"].append(dict(zip(_SPECTRUM_COLUMNS[4:], values[4:])))
+        values = {c: parse(row[c]) for c, parse in zip(_SPECTRUM_COLUMNS, _SPECTRUM_PARSERS)
+                  if row[c]}
+        sector = tuple(values[c] for c in _SPECTRUM_COLUMNS[:4])
+        rec = records.setdefault(sector, dict(zip(_SPECTRUM_COLUMNS[:4], sector), eigenvalues=[]))
+        if row["beta"]:
+            rec["eigenvalues"].append({c: values[c] for c in _SPECTRUM_COLUMNS[4:]})
     return list(records.values())
 
 
@@ -139,8 +142,9 @@ def cmd_spectrum(args) -> int:
     if args.format == "json":
         _emit(render_json({"records": records}), args.out)
     else:
-        rows = [[r[c] for c in _SPECTRUM_COLUMNS[:4]] + [ev[c] for c in _SPECTRUM_COLUMNS[4:]]
-                for r in records for ev in r["eigenvalues"]]
+        rows = [[r[c] for c in _SPECTRUM_COLUMNS[:4]]
+                + [ev.get(c, "") for c in _SPECTRUM_COLUMNS[4:]]
+                for r in records for ev in r["eigenvalues"] or [{}]]
         _emit(render_csv_rows(list(_SPECTRUM_COLUMNS), rows), args.out)
     return 0
 
@@ -298,7 +302,10 @@ def _methods(text: str) -> list[str]:
 
 
 def _rk_steps(text: str) -> int:
-    return _int_at_least(text, 100)
+    value = _int_at_least(text, 100)
+    if value > oracles.RK_STEP_CAP:
+        raise argparse.ArgumentTypeError(f"must be <= {oracles.RK_STEP_CAP}, got {value}")
+    return value
 
 
 def _fd_grid(text: str) -> int:

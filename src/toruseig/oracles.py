@@ -61,6 +61,8 @@ from .geometry import SpectralPoint
 from .recursion import Parity, _check_alpha, _check_parity
 
 FD_GRID_CAP = 2048
+# one integration holds a few dozen float arrays of rk_step_count entries
+RK_STEP_CAP = 65536
 
 __all__ = [
     "OracleConfig",
@@ -92,6 +94,9 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.rk_step_count < 100:
             raise ValueError(f"rk_step_count must be >= 100, got {self.rk_step_count}")
+        if self.rk_step_count > RK_STEP_CAP:
+            raise ValueError(
+                f"rk_step_count must be <= {RK_STEP_CAP}, got {self.rk_step_count}")
         if not (self.matching_tolerance > 0):
             raise ValueError("matching_tolerance must be positive")
 

@@ -10,7 +10,9 @@ and ``evaluate`` its trigonometric sum.
 
 The orthogonality measure is the theta part of the surface area element,
 (1 + alpha sin(theta)) dtheta; the azimuthal factor e^{i m phi} contributes
-a constant absorbed by convention.
+a constant absorbed by convention.  Inner products (``overlap``, and the norm
+``normalize`` divides by) are exact: they come from the trig coefficients in
+closed form, never from samples of psi.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "evaluate",
     "normalize",
     "overlap",
-    "weighted_norm_sq_from_coefficients",
     "compare_scaled",
 ]
 
@@ -104,42 +105,27 @@ def evaluate(psi: Eigenfunction, theta):
 
 
 def overlap(psi1: Eigenfunction, psi2: Eigenfunction, alpha: float) -> float:
-    """Weighted inner product over [0, 2 pi).
+    """Weighted inner product over [0, 2 pi), exact from the trig coefficients.
 
-    Periodic trapezoid quadrature, exact for trigonometric polynomials well
-    below the grid's Nyquist harmonic.
+    With psi1 = (a, b) and psi2 = (c, d), zero-padded to one length,
+    integral psi1 psi2 (1 + alpha sin) dtheta = 2 pi a_0 c_0
+    + pi sum_{k>=1} (a_k c_k + b_k d_k) + alpha pi [a_0 d_1 + c_0 b_1
+    + 1/2 sum_{k>=2} (a_{k-1} d_k + c_{k-1} b_k)
+    - 1/2 sum_{k>=1} (a_{k+1} d_k + c_{k+1} b_k)]:
+    the sine weight couples neighboring harmonics only.  No BLAS call, so
+    the result does not depend on the BLAS thread count.
     """
     if psi1.mode.m != psi2.mode.m:
         raise ValueError(
             f"overlap requires equal m, got {psi1.mode.m} and {psi2.mode.m}"
         )
-    n = max(512, 2 * (psi1.max_harmonic + psi2.max_harmonic) + 8)
-    th = np.arange(n) * (2.0 * math.pi / n)
-    w = 1.0 + alpha * np.sin(th)
-    v1 = evaluate(psi1, th)
-    v2 = v1 if psi2 is psi1 else evaluate(psi2, th)
-    vals = v1 * v2 * w
-    return float(np.sum(vals) * (2.0 * math.pi / n))
-
-
-def weighted_norm_sq_from_coefficients(psi: Eigenfunction, alpha: float) -> float:
-    """Closed-form weighted norm from the trig coefficients.
-
-    integral psi^2 (1 + alpha sin) dtheta = 2 pi a_0^2 + pi sum (a_k^2+b_k^2)
-    + alpha [ 2 pi a_0 b_1 + pi sum_{k>=2} a_{k-1} b_k - pi sum_{k>=1} a_{k+1} b_k ],
-    the sine weight coupling neighboring harmonics only.
-    """
-    a, b = psi.a, psi.b
-    kmax = len(a) - 1
-    base = 2.0 * math.pi * a[0] ** 2
-    for k in range(1, kmax + 1):
-        base += math.pi * (a[k] ** 2 + b[k] ** 2)
-    cross = 2.0 * math.pi * a[0] * b[1] if kmax >= 1 else 0.0
-    for k in range(2, kmax + 1):
-        cross += math.pi * a[k - 1] * b[k]
-    for k in range(1, kmax):
-        cross -= math.pi * a[k + 1] * b[k]
-    return base + alpha * cross
+    n = max(2, len(psi1.a), len(psi2.a))
+    a, b, c, d = (np.pad(np.asarray(x, dtype=float), (0, n - len(x)))
+                  for x in (psi1.a, psi1.b, psi2.a, psi2.b))
+    plain = 2.0 * a[0] * c[0] + np.sum(a[1:] * c[1:] + b[1:] * d[1:])
+    cross = a[0] * d[1] + c[0] * b[1] + 0.5 * np.sum(
+        (a[1:-1] * d[2:] + c[1:-1] * b[2:]) - (a[2:] * d[1:-1] + c[2:] * b[1:-1]))
+    return float(math.pi * (plain + alpha * cross))
 
 
 def _sign_fix_order(psi: Eigenfunction):

@@ -35,6 +35,9 @@ class TestExitCodes:
                      ["spectrum", "--m", "0", "--beta-max", "inf"],
                      ["compare", "--m", "0", "--state", "1", "--rk-steps", "99"],
                      ["repro", "--table", "1", "--rk-steps", "0"],
+                     # the step count is capped; nothing past the cap runs
+                     ["compare", "--m", "0", "--state", "1", "--rk-steps", "1000000000"],
+                     ["repro", "--table", "1", "--rk-steps", str(oracles.RK_STEP_CAP + 2)],
                      ["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
                       "--fd-grid", "0"],
                      ["compare", "--m", "0", "--state", "1", "--methods", "fourier,fd",
@@ -163,6 +166,16 @@ class TestSpectrumCommand:
             ["alpha", "m", "parity", "order", "beta", "trivial", "residual",
              "converged"], rows)
         assert again == text
+
+    def test_empty_sectors_survive_csv(self, tmp_path):
+        # no state lies below beta_max in either sector: CSV keeps one row
+        # per sector, so both formats parse to the same records
+        args = ("spectrum", "--m", "0,1", "--parity", "odd", "--beta-max", "0.5")
+        _, as_json = run_cli(tmp_path, *args)
+        _, as_csv = run_cli(tmp_path, *args, "--format", "csv")
+        records = parse_spectrum(as_json, "json")
+        assert [(r["m"], r["eigenvalues"]) for r in records] == [(0, []), (1, [])]
+        assert parse_spectrum(as_csv, "csv") == records
 
     def test_orders_above_64(self, tmp_path):
         # the residual grid grows with the order (4 points per harmonic)

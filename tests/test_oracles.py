@@ -57,6 +57,13 @@ class TestRkMismatch:
         with pytest.raises(ValueError):
             OracleConfig(rk_step_count=10)
 
+    def test_step_count_is_capped(self):
+        # only the rejection is exercised: a count past the cap is never run
+        assert OracleConfig(rk_step_count=oracles.RK_STEP_CAP).rk_step_count == oracles.RK_STEP_CAP
+        for steps in (oracles.RK_STEP_CAP + 2, 1_000_000_000):
+            with pytest.raises(ValueError, match="rk_step_count must be <="):
+                OracleConfig(rk_step_count=steps)
+
     def test_forward_backward_disagreement_is_named(self, monkeypatch):
         # a backward path that does not mirror the forward one is reported
         # with the beta and the step count, not returned as a defect

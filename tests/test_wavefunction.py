@@ -15,10 +15,33 @@ from toruseig.wavefunction import (
     from_series,
     normalize,
     overlap,
-    weighted_norm_sq_from_coefficients,
 )
 
 ALPHA = 0.5
+
+
+def _trapezoid_overlap(psi1, psi2, alpha):
+    """Reference inner product: periodic trapezoid rule on enough points to
+    be exact for the product (1 + alpha sin) psi1 psi2, summed here without
+    the library's trigonometric sum."""
+    n = 4 * (len(psi1.a) + len(psi2.a)) + 8
+    th = np.arange(n) * (2.0 * math.pi / n)
+
+    def values(psi):
+        kth = np.outer(th, np.arange(len(psi.a)))
+        return np.sum(np.cos(kth) * psi.a + np.sin(kth) * psi.b, axis=1)
+
+    return float(np.sum(values(psi1) * values(psi2) * (1.0 + alpha * np.sin(th)))
+                 * (2.0 * math.pi / n))
+
+
+@st.composite
+def _trig_functions(draw):
+    k = draw(st.integers(min_value=1, max_value=40))
+    coeff = st.floats(min_value=-1.0, max_value=1.0)
+    a = draw(st.lists(coeff, min_size=k, max_size=k))
+    b = [0.0] + draw(st.lists(coeff, min_size=k - 1, max_size=k - 1))
+    return Eigenfunction(mode=ModeSpec(0, "even"), beta=0.0, a=tuple(a), b=tuple(b))
 
 
 @pytest.fixture(scope="module")
@@ -157,22 +180,32 @@ class TestOverlap:
         with pytest.raises(ValueError):
             overlap(psi10, other, ALPHA)
 
-    def test_self_overlap_evaluates_once(self, psi10, monkeypatch):
-        # normalize's overlap(psi, psi) evaluates psi once, with the bits
-        # of two evaluations of equal functions
-        expected = overlap(psi10, dataclasses.replace(psi10), ALPHA)
-        calls = []
-        monkeypatch.setattr(wavefunction, "evaluate",
-                            lambda psi, th: calls.append(psi) or evaluate(psi, th))
-        assert overlap(psi10, psi10, ALPHA) == expected
-        assert len(calls) == 1
+    def test_overlap_never_evaluates(self, psi10, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("overlap sampled psi")
+
+        monkeypatch.setattr(wavefunction, "evaluate", refuse)
+        monkeypatch.setattr(wavefunction, "_trig_sum", refuse)
+        other = dataclasses.replace(psi10, a=psi10.a[:-2], b=psi10.b[:-2])
+        assert overlap(psi10, psi10, ALPHA) > 0
+        assert math.isfinite(overlap(psi10, other, ALPHA))
+        assert normalize(psi10, ALPHA).normalization == "unit-weighted"
 
     def test_parseval_identity(self, m0_states):
         for p in m0_states[:3]:
             psi = from_series(p.series, p.beta, p.mode)
-            quad = overlap(psi, psi, ALPHA)
-            closed = weighted_norm_sq_from_coefficients(psi, ALPHA)
-            assert closed == pytest.approx(quad, abs=1e-10 * max(1.0, quad))
+            quad = _trapezoid_overlap(psi, psi, ALPHA)
+            closed = overlap(psi, psi, ALPHA)
+            assert closed == pytest.approx(quad, abs=1e-12 * (1.0 + abs(quad)))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_trig_functions(), _trig_functions(),
+           st.floats(min_value=math.log(1e-6), max_value=math.log(0.999)).map(math.exp))
+    def test_closed_form_matches_quadrature(self, psi1, psi2, alpha):
+        # unequal lengths are zero-padded; the bilinear form is symmetric
+        quad = _trapezoid_overlap(psi1, psi2, alpha)
+        assert abs(overlap(psi1, psi2, alpha) - quad) <= 1e-12 * (1.0 + abs(quad))
+        assert overlap(psi2, psi1, alpha) == overlap(psi1, psi2, alpha)
 
 
 class TestParityPatterns:
